@@ -15,10 +15,20 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.tensor import Tensor, init, masked_softmax
+from repro.tensor import (Tensor, init, is_grad_enabled, masked_softmax,
+                          masked_softmax_array)
 
 from .layers import Dropout, Linear
 from .module import Module
+from .rnn import inference_kernel_enabled
+
+
+def takes_inference_kernel(module: Module) -> bool:
+    """Whether ``module.forward`` should run its raw-array ``forward_np``
+    twin: the :func:`repro.nn.inference_kernel` switch is on, no graph
+    is being recorded, and the module is in eval mode (dropout off)."""
+    return (inference_kernel_enabled() and not is_grad_enabled()
+            and not module.training)
 
 
 def _softplus(x: Tensor) -> Tensor:
@@ -124,8 +134,8 @@ class MultiHeadAttention(Module):
         self.capture_kv: bool = False
         self.last_kv: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
-    def _split(self, x: Tensor, batch: int, length: int) -> Tensor:
-        """(B, L, D) -> (B, H, L, Dh)."""
+    def _split(self, x, batch: int, length: int):
+        """(B, L, D) -> (B, H, L, Dh), for a ``Tensor`` or a raw array."""
         return x.reshape(batch, length, self.heads, self.head_dim).transpose(0, 2, 1, 3)
 
     def forward(self, query: Tensor, key: Tensor, value: Tensor,
@@ -139,7 +149,12 @@ class MultiHeadAttention(Module):
         When :attr:`capture_kv` is set (serving warm-up), the pre-split
         projected keys/values of this pass are stashed on
         :attr:`last_kv` as plain ``(B, Lk, D)`` arrays.
+
+        Under ``no_grad`` in eval mode this runs :meth:`forward_np`.
         """
+        if takes_inference_kernel(self):
+            return Tensor(self.forward_np(query.data, key.data, value.data,
+                                          mask))
         batch, q_len, _ = query.shape
         k_len = key.shape[1]
         projected_k = self.key_proj(key)
@@ -165,13 +180,52 @@ class MultiHeadAttention(Module):
             while mask.ndim < 4:
                 mask = mask[None]
         weights = masked_softmax(logits, mask, axis=-1)
-        self.last_weights = weights.data.copy()
+        # The softmax output is never written after this point (dropout
+        # and the context matmul allocate), so a reference is enough.
+        self.last_weights = weights.data
         if self.dropout is not None:
             weights = self.dropout(weights)
         context = weights @ v
         context = context.transpose(0, 2, 1, 3).reshape(batch, q_len, self.dim)
         return self.out_proj(context)
 
+    def _theta(self) -> np.ndarray:
+        """Per-head decay rates ``softplus(decay)`` as ``(1, H, 1, 1)``."""
+        return _softplus_array(self.decay.data).reshape(1, self.heads, 1, 1)
+
+    def forward_np(self, query: np.ndarray, key: np.ndarray,
+                   value: np.ndarray,
+                   mask: Optional[np.ndarray] = None) -> np.ndarray:
+        """No-grad, eval-mode twin of :meth:`forward` on raw arrays.
+
+        Same ops in the same order as the graph path, so the output is
+        bit-identical to it; scale, decay, mask fill and softmax all run
+        in place on the one ``(B, H, Lq, Lk)`` logits buffer
+        (:func:`repro.tensor.masked_softmax_array`).  Sets
+        :attr:`last_weights` and, under :attr:`capture_kv`,
+        :attr:`last_kv` exactly as :meth:`forward` does.
+        """
+        batch, q_len, _ = query.shape
+        k_len = key.shape[1]
+        projected_k = self.key_proj.forward_np(key)
+        projected_v = self.value_proj.forward_np(value)
+        if self.capture_kv:
+            self.last_kv = (projected_k, projected_v)
+        q = self._split(self.query_proj.forward_np(query), batch, q_len)
+        k = self._split(projected_k, batch, k_len)
+        v = self._split(projected_v, batch, k_len)
+
+        logits = q @ k.swapaxes(-1, -2)
+        logits *= 1.0 / np.sqrt(self.head_dim)
+        if self.monotonic:
+            distance = np.abs(np.arange(q_len)[:, None]
+                              - np.arange(k_len)[None, :]).astype(np.float64)
+            logits -= self._theta() * distance
+        weights = masked_softmax_array(logits, mask)
+        self.last_weights = weights
+        context = weights @ v
+        context = context.transpose(0, 2, 1, 3).reshape(batch, q_len, self.dim)
+        return self.out_proj.forward_np(context)
 
     # ------------------------------------------------------------------
     # No-grad incremental inference (forward-stream serving cache)
@@ -183,9 +237,7 @@ class MultiHeadAttention(Module):
         before the head split, so the results can be appended to a
         :class:`KVCache` holding batch-computed prefixes.
         """
-        k = x @ self.key_proj.weight.data + self.key_proj.bias.data
-        v = x @ self.value_proj.weight.data + self.value_proj.bias.data
-        return k, v
+        return self.key_proj.forward_np(x), self.value_proj.forward_np(x)
 
     def attend_step(self, x: np.ndarray, keys: np.ndarray,
                     values: np.ndarray, position: int) -> np.ndarray:
@@ -196,32 +248,28 @@ class MultiHeadAttention(Module):
         ``n == position + 1`` (the new position's own key/value already
         appended — the non-strict causal mask lets a position attend to
         itself).  All prefix positions are real by construction, so no
-        mask is needed; the softmax mirrors
-        :func:`repro.tensor.masked_softmax`'s stable form op-for-op.
+        mask is needed; the softmax is the shared
+        :func:`repro.tensor.masked_softmax_array`.
         """
         batch, dim = x.shape
         n = keys.shape[1]
         if n != position + 1:
             raise ValueError(f"key/value prefix of length {n} does not "
                              f"cover query position {position}")
-        q = x @ self.query_proj.weight.data + self.query_proj.bias.data
+        q = self.query_proj.forward_np(x)
         q = q.reshape(batch, self.heads, 1, self.head_dim)
         k = keys.reshape(batch, n, self.heads, self.head_dim)
         k = k.transpose(0, 2, 1, 3)
         v = values.reshape(batch, n, self.heads, self.head_dim)
         v = v.transpose(0, 2, 1, 3)
-        logits = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
+        logits = q @ k.swapaxes(-1, -2)
+        logits *= 1.0 / np.sqrt(self.head_dim)
         if self.monotonic:
             distance = (position - np.arange(n)).astype(np.float64)
-            theta = _softplus_array(self.decay.data)
-            logits = logits - (theta.reshape(1, self.heads, 1, 1)
-                               * distance[None, None, None, :])
-        row_max = logits.max(axis=-1, keepdims=True)
-        np.subtract(logits, row_max, out=logits)
-        exp = np.exp(logits, out=logits)
-        weights = exp / exp.sum(axis=-1, keepdims=True)
+            logits -= self._theta() * distance[None, None, None, :]
+        weights = masked_softmax_array(logits)
         context = (weights @ v).transpose(0, 2, 1, 3).reshape(batch, dim)
-        return context @ self.out_proj.weight.data + self.out_proj.bias.data
+        return self.out_proj.forward_np(context)
 
 
 def causal_mask(length: int, strict: bool = True) -> np.ndarray:

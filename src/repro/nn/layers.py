@@ -32,7 +32,7 @@ class Linear(Module):
         """No-grad NumPy twin of :meth:`forward` (serving step kernels)."""
         out = x @ self.weight.data
         if self.bias is not None:
-            out = out + self.bias.data
+            out += self.bias.data  # the matmul result is a fresh array
         return out
 
 
@@ -88,12 +88,19 @@ class LayerNorm(Module):
         return normed * self.gamma + self.beta
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
-        """No-grad NumPy twin of :meth:`forward`, op-for-op."""
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        variance = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / np.sqrt(variance + self.eps)
-        return normed * self.gamma.data + self.beta.data
+        """No-grad NumPy twin of :meth:`forward`, op-for-op.
+
+        Means are a sum times ``1/dim`` as in :meth:`Tensor.mean` (not
+        ``np.mean``'s divide), so the twin is bit-identical for any dim.
+        """
+        inverse = 1.0 / x.shape[-1]
+        mean = x.sum(axis=-1, keepdims=True) * inverse
+        normed = x - mean
+        variance = (normed * normed).sum(axis=-1, keepdims=True) * inverse
+        normed /= np.sqrt(variance + self.eps)
+        normed *= self.gamma.data
+        normed += self.beta.data
+        return normed
 
 
 class ReLU(Module):

@@ -11,12 +11,12 @@ the caller indexing ``forward[i-1]`` and ``backward[i+1]``.
 from __future__ import annotations
 
 import contextlib
+import functools
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.tensor import (Tensor, init, is_grad_enabled, sigmoid_array,
-                          stack, where)
+from repro.tensor import Tensor, init, is_grad_enabled, stack, where
 
 from .module import Module
 
@@ -24,17 +24,27 @@ from .module import Module
 _INFERENCE_KERNEL = True
 
 
+def inference_kernel_enabled() -> bool:
+    """Whether no-grad forwards may take the raw-array kernels."""
+    return _INFERENCE_KERNEL
+
+
 @contextlib.contextmanager
 def inference_kernel(enabled: bool):
-    """Toggle the fused no-grad LSTM kernel (default on).
+    """Toggle the no-grad inference kernels (default on).
 
-    ``inference_kernel(False)`` runs the original per-step autograd cell
-    even under ``no_grad`` — a debugging aid for comparing the kernel
-    and graph paths directly (see ``tests/nn/test_rnn.py``).  Note the
-    inference benchmarks do *not* use this: both arms of
-    ``benchmarks/bench_inference.py`` share the kernel, so the reported
-    speedups are purely structural (batching/stream sharing), not
-    kernel-vs-no-kernel.
+    Covers both encoder families: the LSTM recurrence
+    (:meth:`LSTM.forward_inference_with_state`, one-tanh gate step) and
+    the attention blocks (:meth:`repro.nn.TransformerBlock.forward_np`,
+    :meth:`repro.nn.MultiHeadAttention.forward_np`).  Under ``no_grad``
+    (and, for the transformer blocks, eval mode) the module ``forward``
+    dispatches to them.  ``inference_kernel(False)`` runs the original
+    autograd ops even under ``no_grad`` — a debugging aid for comparing
+    the kernel and graph paths directly (see ``tests/nn/test_rnn.py``,
+    ``tests/nn/test_attention.py``).  Note the inference benchmarks do
+    *not* use this: both arms of ``benchmarks/bench_inference.py`` share
+    the kernels, so the reported speedups are purely structural
+    (batching/stream sharing), not kernel-vs-no-kernel.
     """
     global _INFERENCE_KERNEL
     previous = _INFERENCE_KERNEL
@@ -45,22 +55,52 @@ def inference_kernel(enabled: bool):
         _INFERENCE_KERNEL = previous
 
 
+@functools.lru_cache(maxsize=16)
+def _gate_constants(hidden: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-column ``(scale, shift)`` over the fused ``i, f, g, o`` gates.
+
+    ``0.5/0.5`` on the sigmoid gates turns ``s*tanh(s*z) + shift`` into
+    :func:`repro.tensor.sigmoid_array`'s tanh form; ``1/0`` on ``g``
+    leaves a plain ``tanh`` (multiplying by 1 and adding 0 are exact).
+    """
+    scale = np.full(4 * hidden, 0.5)
+    scale[2 * hidden:3 * hidden] = 1.0
+    shift = np.full(4 * hidden, 0.5)
+    shift[2 * hidden:3 * hidden] = 0.0
+    scale.flags.writeable = False
+    shift.flags.writeable = False
+    return scale, shift
+
+
 def _lstm_gate_step(projected_t: np.ndarray, h: np.ndarray, c: np.ndarray,
                     weight_h: np.ndarray, bias: np.ndarray,
                     hidden: int) -> Tuple[np.ndarray, np.ndarray]:
     """One fused-gate LSTM step on pre-projected inputs (no-grad NumPy).
 
     Shared by the batched inference kernel and the serving single-step
-    extension path so the two stay numerically aligned op-for-op.
+    extension path so the two stay numerically aligned op-for-op.  All
+    four gates come from one ``tanh`` over the ``(B, 4H)`` pre-activation
+    with per-column constants (:func:`_gate_constants`): element for
+    element this is :func:`repro.tensor.sigmoid_array` on ``i, f, o`` and
+    ``np.tanh`` on ``g``, so it matches :class:`LSTMCell` bit for bit.
+    The inputs ``h``/``c`` are never written (callers keep them for the
+    padding select); the returned arrays are fresh.
     """
-    z = (projected_t + h @ weight_h) + bias
-    in_forget = sigmoid_array(z[:, :2 * hidden])
-    i_gate = in_forget[:, :hidden]
-    f_gate = in_forget[:, hidden:]
-    g_gate = np.tanh(z[:, 2 * hidden:3 * hidden])
-    o_gate = sigmoid_array(z[:, 3 * hidden:])
-    c_new = f_gate * c + i_gate * g_gate
-    h_new = o_gate * np.tanh(c_new)
+    scale, shift = _gate_constants(hidden)
+    z = h @ weight_h
+    z += projected_t
+    z += bias
+    z *= scale
+    np.tanh(z, out=z)
+    z *= scale
+    z += shift
+    i_gate = z[:, :hidden]
+    g_gate = z[:, 2 * hidden:3 * hidden]
+    c_new = z[:, hidden:2 * hidden] * c
+    i_gate *= g_gate
+    c_new += i_gate
+    h_new = np.tanh(c_new)
+    h_new *= z[:, 3 * hidden:]
     return h_new, c_new
 
 
@@ -156,8 +196,8 @@ class LSTM(Module):
 
         Raw-NumPy recurrence with the input projection hoisted into one
         ``(B*L, D) @ (D, 4H)`` gemm instead of one small gemm per step.
-        The per-element gate math matches the autograd cell (shared
-        :func:`repro.tensor.sigmoid_array`).
+        The per-element gate math matches the autograd cell bit for bit
+        (:func:`_lstm_gate_step`).
 
         The returned ``(h, c)`` is each row's carry state after its last
         *real* step (the mask freezes state through trailing padding), so

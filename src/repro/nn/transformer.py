@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.tensor import Tensor
 
-from .attention import MultiHeadAttention
+from .attention import MultiHeadAttention, takes_inference_kernel
 from .layers import Dropout, LayerNorm, Linear
 from .module import Module, ModuleList
 
@@ -106,7 +106,13 @@ class TransformerBlock(Module):
 
     def forward(self, x: Tensor, mask: Optional[np.ndarray] = None,
                 context: Optional[Tensor] = None) -> Tensor:
-        """Self-attention when ``context`` is None, else cross-attention."""
+        """Self-attention when ``context`` is None, else cross-attention.
+
+        Under ``no_grad`` in eval mode this runs :meth:`forward_np`.
+        """
+        if takes_inference_kernel(self):
+            return Tensor(self.forward_np(
+                x.data, mask, None if context is None else context.data))
         source = context if context is not None else x
         attended = self.attention(x, source, source, mask=mask)
         if self.dropout is not None:
@@ -116,6 +122,23 @@ class TransformerBlock(Module):
         if self.dropout is not None:
             ffn_out = self.dropout(ffn_out)
         return self.norm2(x + ffn_out)
+
+    def forward_np(self, x: np.ndarray, mask: Optional[np.ndarray] = None,
+                   context: Optional[np.ndarray] = None) -> np.ndarray:
+        """No-grad, eval-mode twin of :meth:`forward` on raw arrays,
+        bit-identical to it (attention via
+        :meth:`~repro.nn.MultiHeadAttention.forward_np`, then the
+        ``LayerNorm``/``FeedForward`` twins)."""
+        source = context if context is not None else x
+        attended = self.attention.forward_np(x, source, source, mask)
+        return self._residual_ffn_np(x, attended)
+
+    def _residual_ffn_np(self, x: np.ndarray,
+                         attended: np.ndarray) -> np.ndarray:
+        """The block after attention (residual, norm, FFN, residual,
+        norm) on raw arrays; shared by both no-grad paths."""
+        x = self.norm1.forward_np(x + attended)
+        return self.norm2.forward_np(x + self.ffn.forward_np(x))
 
     def step_inference(self, x: np.ndarray, kv_cache) -> np.ndarray:
         """Self-attention step for one appended position (no-grad, eval).
@@ -131,8 +154,7 @@ class TransformerBlock(Module):
         keys, values = kv_cache.view()
         attended = self.attention.attend_step(x, keys, values,
                                               kv_cache.length - 1)
-        x = self.norm1.forward_np(x + attended)
-        return self.norm2.forward_np(x + self.ffn.forward_np(x))
+        return self._residual_ffn_np(x, attended)
 
 
 class TransformerEncoder(Module):

@@ -7,7 +7,8 @@ Public surface::
 
 from . import init, ops
 from .ops import (binary_cross_entropy, concat, dropout, embedding,
-                  log_softmax, masked_softmax, softmax, stack, where)
+                  log_softmax, masked_softmax, masked_softmax_array,
+                  softmax, stack, where)
 from .tensor import (Tensor, enable_grad, is_grad_enabled, no_grad,
                      sigmoid_array,
                      unbroadcast)
@@ -25,6 +26,7 @@ __all__ = [
     "embedding",
     "softmax",
     "masked_softmax",
+    "masked_softmax_array",
     "log_softmax",
     "dropout",
     "binary_cross_entropy",

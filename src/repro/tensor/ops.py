@@ -99,28 +99,44 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor.make(out, (x,), backward)
 
 
+def masked_softmax_array(logits: np.ndarray,
+                         mask: Optional[np.ndarray] = None,
+                         axis: int = -1) -> np.ndarray:
+    """Masked softmax computed in place on ``logits``; returns it.
+
+    The one copy of the masked-softmax math, shared by
+    :func:`masked_softmax` (autograd), the no-grad attention kernel
+    (:meth:`repro.nn.MultiHeadAttention.forward_np`) and the serving
+    step (:meth:`repro.nn.MultiHeadAttention.attend_step`), so all
+    three agree bit for bit.  ``mask`` (broadcastable to ``logits``,
+    True = allowed) is filled with ``-inf`` first; ``None`` allows
+    every position.  Rows with no allowed position come out all zero
+    instead of NaN: ``exp(-inf) == +0.0`` zeroes masked entries without
+    a second select, and an all-zero row's sum is replaced by 1.
+    """
+    if mask is not None:
+        np.copyto(logits, -np.inf, where=~np.asarray(mask, dtype=bool))
+    row_max = logits.max(axis=axis, keepdims=True)
+    # A fully masked row would give exp(-inf - -inf) = nan; guard with 0.
+    row_max[np.isneginf(row_max)] = 0.0
+    np.subtract(logits, row_max, out=logits)
+    np.exp(logits, out=logits)
+    denom = logits.sum(axis=axis, keepdims=True)
+    denom[denom == 0.0] = 1.0
+    return np.divide(logits, denom, out=logits)
+
+
 def masked_softmax(x: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     """Softmax over positions where ``mask`` is True.
 
     Rows with no valid position produce an all-zero distribution instead of
     NaN.  This is how the bidirectional encoders handle boundary positions
     that have no context on one side (Eq. 25 in the paper: the first
-    response uses only the backward direction).
+    response uses only the backward direction).  The forward math is
+    :func:`masked_softmax_array`, run on the masked copy of ``x``.
     """
-    mask = np.asarray(mask, dtype=bool)
-    mask = np.broadcast_to(mask, x.data.shape)
-    neg = np.where(mask, x.data, -np.inf)
-    # A fully masked row would give exp(-inf - -inf) = nan; guard with 0.
-    row_max = neg.max(axis=axis, keepdims=True)
-    row_max = np.where(np.isneginf(row_max), 0.0, row_max)
-    # exp(-inf) == +0.0, so masked positions zero out without a second
-    # select; in-place ops keep the big (B, H, L, L) attention temporaries
-    # to a single allocation.
-    np.subtract(neg, row_max, out=neg)
-    exp = np.exp(neg, out=neg)
-    denom = exp.sum(axis=axis, keepdims=True)
-    safe = np.where(denom == 0.0, 1.0, denom)
-    out = np.divide(exp, safe, out=exp)
+    mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.data.shape)
+    out = masked_softmax_array(np.where(mask, x.data, -np.inf), axis=axis)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:

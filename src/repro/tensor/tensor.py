@@ -104,23 +104,27 @@ def _as_array(value: Arrayable, dtype=np.float64) -> np.ndarray:
 
 
 def sigmoid_array(data: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function on a raw array.
+    """Logistic function on a raw array, as ``0.5*tanh(0.5*x) + 0.5``.
 
-    Shared by :meth:`Tensor.sigmoid` and the no-grad inference kernels
-    (e.g. the LSTM fast path) so both compute bit-identical values.
-    ``exp`` runs once on ``-|x|`` (never overflows); for ``x >= 0`` this is
-    exactly the ``exp(-x)`` of ``1/(1+exp(-x))`` and for ``x < 0`` exactly
-    the ``exp(x)`` of ``exp(x)/(1+exp(x))``, so each element matches the
-    textbook two-branch form bit for bit.
+    Shared by :meth:`Tensor.sigmoid` and the no-grad inference kernels:
+    the LSTM gate step (:func:`repro.nn.rnn._lstm_gate_step`) applies
+    these same four element ops to its i/f/o columns, so the kernel and
+    the autograd cell agree bit for bit.  ``tanh`` saturates instead of
+    overflowing, so no clipping or branch select is needed, and the one
+    output buffer is reused by every op.
+
+    Contract (pinned by ``tests/tensor/test_sigmoid_contract.py``):
+
+    * within 2.3e-16 absolute of the two-branch form
+      ``1/(1+exp(-x))`` / ``exp(x)/(1+exp(x))``, not bit-equal to it;
+    * exactly 0.5 at 0, exactly 0 at -inf and 1 at +inf;
+    * NaN in, NaN out;
+    * the output lies in [0, 1] and is monotone non-decreasing in x.
     """
-    positive = data >= 0
-    clipped = np.clip(data, -500, 500)
-    np.abs(clipped, out=clipped)
-    np.negative(clipped, out=clipped)
-    exp = np.exp(clipped, out=clipped)
-    denominator = exp + 1.0
-    out = np.where(positive, 1.0, exp)
-    np.divide(out, denominator, out=out)
+    out = np.multiply(data, 0.5, out=np.empty(np.shape(data)))
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
     return out
 
 

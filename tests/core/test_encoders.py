@@ -166,3 +166,52 @@ class TestIncrementalForwardStream:
             reference = encoder.forward_stream(Tensor(x)).data
         np.testing.assert_allclose(extended, reference[:, LENGTH],
                                    rtol=0, atol=self.ATOL)
+
+
+@pytest.mark.parametrize("name", ["dkt", "sakt", "akt"])
+@pytest.mark.parametrize("layers", [1, 2])
+class TestKernelGraphParity:
+    """The no-grad kernels against ``inference_kernel(False)``.
+
+    The LSTM gate step and the attention ``forward_np`` blocks run the
+    autograd path's element math op for op, so both streams must come
+    out bit-identical — with ragged padding and with rows whose queries
+    have no allowed key (all-padding rows).
+    """
+
+    LENGTHS = (LENGTH, 4, 1, 0)
+
+    def _inputs(self):
+        x = RNG.normal(size=(len(self.LENGTHS), LENGTH, DIM))
+        mask = np.arange(LENGTH)[None, :] < np.asarray(self.LENGTHS)[:, None]
+        return x, mask
+
+    def _both(self, fn):
+        from repro import nn
+        from repro.tensor import no_grad
+        with no_grad():
+            kernel = fn()
+            with nn.inference_kernel(False):
+                graph = fn()
+        return kernel, graph
+
+    def test_streams_bit_identical(self, name, layers):
+        encoder = encoder_factory(name, layers)
+        encoder.eval()
+        x, mask = self._inputs()
+        for stream in (encoder.forward_stream, encoder.backward_stream):
+            kernel, graph = self._both(
+                lambda: stream(Tensor(x), mask).data)
+            assert np.array_equal(kernel, graph), stream.__name__
+            assert not np.isnan(kernel).any()
+
+    def test_captured_state_bit_identical(self, name, layers):
+        encoder = encoder_factory(name, layers)
+        encoder.eval()
+        x, mask = self._inputs()
+        (k_out, k_capture), (g_out, g_capture) = self._both(
+            lambda: encoder.forward_stream_with_capture(Tensor(x), mask))
+        assert np.array_equal(k_out, g_out)
+        for k_layer, g_layer in zip(k_capture, g_capture):
+            for k_part, g_part in zip(k_layer, g_layer):
+                assert np.array_equal(k_part, g_part)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.tensor import Tensor
+from repro.tensor import Tensor, masked_softmax
 
 RNG = np.random.default_rng(5)
 
@@ -129,3 +129,104 @@ class TestTransformer:
         (enc(x) ** 2).sum().backward()
         assert x.grad is not None
         assert all(p.grad is not None for p in enc.parameters())
+
+
+def _ragged_mask(length, lengths, strict=False):
+    """Causal mask with per-row padding after ``lengths[b]``."""
+    mask = nn.causal_mask(length, strict=strict)[None, None]
+    real = np.arange(length)[None, :] < np.asarray(lengths)[:, None]
+    return mask & real[:, None, None, :]
+
+
+@pytest.mark.parametrize("monotonic", [False, True])
+class TestAttentionKernelParity:
+    """``forward_np`` (the no-grad kernel) against the autograd graph.
+
+    Both run the same ops in the same order, so they must agree bit for
+    bit — including ragged padding and rows with no allowed key.
+    """
+
+    def _pair(self, att, query, key, mask):
+        from repro.tensor import no_grad
+        att.eval()
+        with no_grad():
+            kernel = att(Tensor(query), Tensor(key), Tensor(key), mask=mask)
+            kernel_weights = att.last_weights
+            with nn.inference_kernel(False):
+                graph = att(Tensor(query), Tensor(key), Tensor(key),
+                            mask=mask)
+            graph_weights = att.last_weights
+        return kernel.data, graph.data, kernel_weights, graph_weights
+
+    def test_ragged_masks_bit_identical(self, monotonic):
+        att = nn.MultiHeadAttention(8, 2, np.random.default_rng(3),
+                                    monotonic=monotonic)
+        x = RNG.normal(size=(3, 6, 8))
+        mask = _ragged_mask(6, [6, 4, 1])
+        kernel, graph, kw, gw = self._pair(att, x, x, mask)
+        assert np.array_equal(kernel, graph)
+        assert np.array_equal(kw, gw)
+
+    def test_rows_without_allowed_key(self, monotonic):
+        att = nn.MultiHeadAttention(8, 2, np.random.default_rng(4),
+                                    monotonic=monotonic)
+        x = RNG.normal(size=(2, 5, 8))
+        # Strict causal: query 0 sees nothing; row 1 is all padding.
+        mask = _ragged_mask(5, [5, 0], strict=True)
+        kernel, graph, weights, _ = self._pair(att, x, x, mask)
+        assert np.array_equal(kernel, graph)
+        assert not np.isnan(kernel).any()
+        assert np.array_equal(weights[0, :, 0], np.zeros((2, 5)))
+        assert np.array_equal(weights[1], np.zeros((2, 5, 5)))
+        # Zero context through the output projection is its bias.
+        assert np.array_equal(kernel[1], np.broadcast_to(
+            att.out_proj.bias.data, (5, 8)))
+
+    def test_cross_attention_and_no_mask(self, monotonic):
+        att = nn.MultiHeadAttention(8, 4, np.random.default_rng(5),
+                                    monotonic=monotonic)
+        query = RNG.normal(size=(2, 3, 8))
+        key = RNG.normal(size=(2, 7, 8))
+        kernel, graph, kw, gw = self._pair(att, query, key, None)
+        assert np.array_equal(kernel, graph)
+        assert np.array_equal(kw, gw)
+
+    def test_kernel_needs_eval_mode(self, monotonic):
+        from repro.tensor import no_grad
+        att = nn.MultiHeadAttention(8, 2, np.random.default_rng(6),
+                                    dropout=0.5, monotonic=monotonic)
+        x = Tensor(RNG.normal(size=(1, 4, 8)))
+        with no_grad():
+            first = att(x, x, x).data
+            second = att(x, x, x).data
+        # Training mode keeps the graph path, whose dropout draws masks.
+        assert not np.array_equal(first, second)
+
+    def test_attend_step_matches_last_row(self, monotonic):
+        att = nn.MultiHeadAttention(8, 2, np.random.default_rng(7),
+                                    monotonic=monotonic)
+        att.eval()
+        x = RNG.normal(size=(3, 6, 8))
+        full = att.forward_np(x, x, x, nn.causal_mask(6, strict=False))
+        keys, values = att.project_kv_step(x.reshape(18, 8))
+        step = att.attend_step(x[:, -1], keys.reshape(3, 6, 8),
+                               values.reshape(3, 6, 8), position=5)
+        np.testing.assert_allclose(step, full[:, -1], rtol=0, atol=1e-12)
+
+
+def test_last_weights_is_the_softmax_output_not_a_copy(monkeypatch):
+    """The graph path keeps a reference to the weights it attended with."""
+    import repro.nn.attention as attention_module
+    seen = []
+
+    def spy(*args, **kwargs):
+        out = masked_softmax(*args, **kwargs)
+        seen.append(out.data)
+        return out
+
+    monkeypatch.setattr(attention_module, "masked_softmax", spy)
+    att = nn.MultiHeadAttention(4, 2, np.random.default_rng(8))
+    x = Tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True)
+    att(x, x, x).sum().backward()
+    assert att.last_weights is seen[0]
+    assert np.allclose(att.last_weights.sum(axis=-1), 1.0)

@@ -132,3 +132,21 @@ class TestMaskedLSTM:
             masked = lstm(Tensor(x), mask=np.ones((2, 4), dtype=bool)).data
             plain = lstm(Tensor(x)).data
         assert np.array_equal(masked, plain)
+
+
+def test_gate_step_matches_autograd_cell_bit_for_bit():
+    """The one-tanh gate step (serving extend path) against LSTMCell:
+    per element it is sigmoid_array on i/f/o and np.tanh on g."""
+    from repro.tensor import no_grad
+    lstm = nn.LSTM(3, 5, np.random.default_rng(2))
+    x = RNG.normal(size=(4, 3)) * 3.0
+    h = RNG.normal(size=(4, 5))
+    c = RNG.normal(size=(4, 5))
+    h_before, c_before = h.copy(), c.copy()
+    with no_grad():
+        graph_h, graph_c = lstm.cell(Tensor(x), (Tensor(h), Tensor(c)))
+    step_h, step_c = lstm.step_inference(x, h, c)
+    assert np.array_equal(step_h, graph_h.data)
+    assert np.array_equal(step_c, graph_c.data)
+    # The carried state is read, never written.
+    assert np.array_equal(h, h_before) and np.array_equal(c, c_before)
