@@ -8,7 +8,8 @@ Walks the full ``repro.serve`` lifecycle on a synthetic corpus:
 3. Serve a mixed batch of "how would this student do on question q?"
    probes three ways — synchronous, micro-batched via submit/flush, and
    after recording fresh responses (incremental re-scoring).
-4. Rank candidate next questions with the batched recommender.
+4. Rank candidate next questions through the typed ``Service`` facade
+   (a :class:`~repro.serve.RecommendQuery`).
 
 Usage::
 
@@ -20,7 +21,8 @@ from pathlib import Path
 
 from repro.core import RCKT, RCKTConfig, fit_rckt
 from repro.data import make_assist09, train_test_split
-from repro.serve import InferenceEngine, ScoreRequest
+from repro.serve import (CandidateQuestion, InferenceEngine,
+                         RecommendQuery, ScoreRequest)
 
 
 def main() -> None:
@@ -65,10 +67,15 @@ def main() -> None:
           f"{sync:.4f} -> {updated:.4f}")
 
     print("4) batched next-question recommendation ...")
-    candidates = [ScoreRequest(students[0], q, (1 + q % 10,))
-                  for q in (5, 12, 23, 31, 44)]
-    for rec in engine.recommend(students[0], candidates, top_k=3):
-        print("   " + rec.describe())
+    reply = engine.service.execute(RecommendQuery(
+        students[0],
+        tuple(CandidateQuestion(q, (1 + q % 10,))
+              for q in (5, 12, 23, 31, 44)),
+        top_k=3))
+    for item in reply.items:
+        print(f"   q{item.question_id}: "
+              f"p(correct)={item.success_probability:.2f}"
+              f"  value={item.value:.3f}  score={item.score:.3f}")
 
     print("5) incremental forward-stream cache ...")
     stats = engine.stream_cache_stats()

@@ -64,11 +64,14 @@ class ForwardStreamState(abc.ABC):
         """Approximate resident bytes (drives the serving LRU budget)."""
 
     @abc.abstractmethod
-    def clone(self) -> "ForwardStreamState":
-        """Independent deep copy — extending the clone (or the original)
-        never touches the other.  The recourse search forks a student's
-        cached state into per-world timelines this way instead of
-        re-encoding the shared prefix."""
+    def take(self, rows: np.ndarray) -> "ForwardStreamState":
+        """Independent copy of the given rows, in order (a row may
+        repeat) — extending the copy (or the original) never touches
+        the other.  Taking every row is a deep copy; tiling a student's
+        base rows once per hypothetical timeline lets one batched
+        :meth:`extend_forward_state` step fork the state into many
+        timelines instead of re-encoding the shared prefix per
+        timeline."""
 
 
 class LSTMStreamState(ForwardStreamState):
@@ -86,9 +89,9 @@ class LSTMStreamState(ForwardStreamState):
     def nbytes(self) -> int:
         return sum(a.nbytes for a in self.h) + sum(a.nbytes for a in self.c)
 
-    def clone(self) -> "LSTMStreamState":
-        return LSTMStreamState([a.copy() for a in self.h],
-                               [a.copy() for a in self.c], self.length)
+    def take(self, rows: np.ndarray) -> "LSTMStreamState":
+        return LSTMStreamState([a[rows] for a in self.h],
+                               [a[rows] for a in self.c], self.length)
 
 
 class AttentionStreamState(ForwardStreamState):
@@ -104,9 +107,9 @@ class AttentionStreamState(ForwardStreamState):
     def nbytes(self) -> int:
         return sum(cache.nbytes for cache in self.caches)
 
-    def clone(self) -> "AttentionStreamState":
+    def take(self, rows: np.ndarray) -> "AttentionStreamState":
         return AttentionStreamState(
-            [cache.clone() for cache in self.caches], self.length)
+            [cache.take(rows) for cache in self.caches], self.length)
 
 
 def shift_and_combine(forward_stream: Tensor, backward_stream: Tensor) -> Tensor:

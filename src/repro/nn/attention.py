@@ -88,12 +88,12 @@ class KVCache:
         """Live ``(keys, values)`` views over the filled prefix."""
         return self.keys[:, :self.length], self.values[:, :self.length]
 
-    def clone(self) -> "KVCache":
-        """Independent copy of the filled prefix (the constructor copies
-        into fresh capacity arrays, so no extra copy here)."""
+    def take(self, rows: np.ndarray) -> "KVCache":
+        """Independent copy of the given rows' filled prefixes, in
+        order (the constructor copies into fresh capacity arrays)."""
         keys, values = self.view()
-        return KVCache(self.keys.shape[0], self.keys.shape[2],
-                       keys=keys, values=values)
+        return KVCache(len(rows), self.keys.shape[2],
+                       keys=keys[rows], values=values[rows])
 
     @property
     def nbytes(self) -> int:

@@ -10,8 +10,9 @@ Usage::
 ``--checkpoint`` takes ``PATH`` (registered as the default model) or
 ``NAME=PATH`` and may repeat — every name becomes addressable through
 the queries' ``model`` field.  ``--selfcheck`` boots a tiny synthetic
-model instead, round-trips a score through a real socket, and exits —
-the zero-dependency smoke test CI runs.
+model instead, round-trips a score, a recommendation and a recourse
+search through a real socket, and exits — the zero-dependency smoke
+test CI runs.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import sys
 from typing import List, Optional
 
 from .http_gateway import ServiceClient, serve_http, start_http_thread
-from .protocol import (DEFAULT_MODEL, CandidateQuestion, RecourseQuery,
-                       ScoreQuery, to_wire)
+from .protocol import (DEFAULT_MODEL, CandidateQuestion, RecommendQuery,
+                       RecourseQuery, ScoreQuery, to_wire)
 from .registry import ModelRegistry
 from .service import Service
 
@@ -108,6 +109,16 @@ def _selfcheck(args) -> int:
             print(f"selfcheck: wire recourse {to_wire(wire)} != "
                   f"direct {to_wire(local)}")
             return 1
+        recommend = RecommendQuery(
+            "probe", (CandidateQuestion(7, (2,)),
+                      CandidateQuestion(9, (3,)),
+                      CandidateQuestion(11, (4,))), top_k=2)
+        wire = client.query(recommend)
+        local = service.execute(recommend)
+        if not wire.ok or to_wire(wire) != to_wire(local):
+            print(f"selfcheck: wire recommend {to_wire(wire)} != "
+                  f"direct {to_wire(local)}")
+            return 1
         # The traffic above must have populated the core metric series
         # (docs/OBSERVABILITY.md) — the CI smoke lane scrapes the same
         # endpoint again after this run.
@@ -134,8 +145,8 @@ def _selfcheck(args) -> int:
     finally:
         server.shutdown()
         service.close()
-    print(f"selfcheck: ok (score {direct.score:.6f} and a recourse "
-          f"search round-tripped over "
+    print(f"selfcheck: ok (score {direct.score:.6f}, a recommendation "
+          f"and a recourse search round-tripped over "
           f"http://{args.host}:{server.server_port})")
     return 0
 

@@ -46,8 +46,7 @@ import numpy as np
 from repro.core import RCKT, RCKTConfig
 from repro.core.masking import check_window, window_start
 from repro.core.multi_target import (FORWARD_BASES, MultiTargetContext,
-                                     column_banded_chunks, map_chunks,
-                                     score_batch_targets)
+                                     column_banded_chunks, map_chunks)
 from repro.data import PAD_ID, Batch, KTDataset
 from repro.tensor import enable_grad, no_grad
 from repro.utils import load_checkpoint, save_checkpoint
@@ -57,7 +56,8 @@ from ..obs import names as metric_names
 from .forward_cache import (DEFAULT_STREAM_CACHE_BYTES, StreamCacheStore,
                             base_contents, build_stream_caches,
                             question_vector_for)
-from .history import HistoryStore, HistoryWindow, assemble_padded
+from .history import (ArrayHistory, HistoryStore, HistoryWindow,
+                      assemble_padded)
 from .protocol import DEFAULT_MODEL
 
 
@@ -147,8 +147,8 @@ class InferenceEngine:
     max_batch:
         Pending-request count that triggers an automatic flush.
     target_batch:
-        Chunk size of the underlying stacked passes (see
-        :func:`repro.core.multi_target.score_batch_targets`).
+        Chunk size of the column-banded backward passes (see
+        :func:`repro.core.multi_target.column_banded_chunks`).
     workers:
         Thread count for the independent column-banded score chunks
         (NumPy's kernels release the GIL; 1 disables pooling).
@@ -611,10 +611,11 @@ class InferenceEngine:
         ``local_entries`` maps row index -> a caller-owned
         :class:`~repro.serve.forward_cache.StudentStreamCache` already
         covering that row's ``[start, history.length)`` slice — the
-        recourse search passes clone-extended per-world entries here so
-        a generation of hypothetical timelines costs zero forward
-        passes.  ``built_out`` (when given) is filled with row index ->
-        the entry that served the row, letting the caller keep
+        recourse search and the recommend value worlds pass
+        clone-extended per-world entries here so a batch of
+        hypothetical timelines costs zero forward passes.
+        ``built_out`` (when given) is filled with row index -> the
+        entry that served the row, letting the caller keep
         warm-built timelines for the next generation.  Both are cache-
         path refinements; the raw path ignores them (worlds are
         re-encoded, still as one shared batch).
@@ -669,8 +670,8 @@ class InferenceEngine:
                          == self._window_start(row.history.length))
             entry = store.get(row.cache_key) \
                 if row.cache_key is not None else None
-            if entry is not None and (entry.anchor != row.start
-                                      or entry.length != length):
+            if entry is not None and not entry.covers(
+                    row.start, row.history.length):
                 if canonical:
                     store.discard(row.cache_key)
                 entry = None
@@ -791,12 +792,13 @@ class InferenceEngine:
                     ) -> Tuple[np.ndarray, Dict[int, object]]:
         """Score heterogeneous rows as **one** shared batch.
 
-        The building block of the recourse search and the monotonicity
-        report: assemble under the engine lock (one warm-build pass for
-        whatever ``local_entries`` does not already cover), score every
-        row's backward pass outside it.  Returns the per-row scores plus
-        the row index -> stream-cache entry map of the batch (empty with
-        caching disabled, where worlds are raw re-encodes instead).
+        The building block of the recourse search, the recommend value
+        worlds and the monotonicity report: assemble under the engine
+        lock (one warm-build pass for whatever ``local_entries`` does
+        not already cover), score every row's backward pass outside it.
+        Returns the per-row scores plus the row index -> stream-cache
+        entry map of the batch (empty with caching disabled, where
+        worlds are raw re-encodes instead).
         """
         built: Dict[int, object] = {}
         with no_grad():
@@ -887,85 +889,96 @@ class InferenceEngine:
         start = self._window_start(history.length)
         return tuple(a[start:].copy() for a in history.view())
 
+    def _warm_root(self, student_id, length: int):
+        """Clone of the student's warm stream-cache entry, or ``None``.
+
+        The shared root test of every hypothetical-world read (recourse
+        practice worlds, recommend value worlds): the stored entry is
+        usable only when it sits at the serving window anchor of a
+        ``length``-long history and covers exactly that history — a
+        window slide, an eviction, or a record landing after admission
+        forfeits the warm start.  The clone is taken under the engine
+        lock and is private to the caller.
+        """
+        start = self._window_start(length)
+        with self._lock:
+            entry = self.stream_caches.peek(student_id)
+            if entry is not None and entry.covers(start, length):
+                return entry.clone()
+        return None
+
     def _recommend_values(self, snapshot: Tuple[np.ndarray, ...],
-                          candidates, horizon: int) -> np.ndarray:
+                          candidates, horizon: int,
+                          root_entry=None) -> np.ndarray:
         """Counterfactual question values for candidates (Sec. V-C).
 
         The value half of the recommendation workload: for each
         candidate and each assumed answer (correct/incorrect), re-ask
         the ``horizon`` most recent questions of the snapshotted window
         and measure how far the two assumed worlds pull those re-asked
-        scores apart.  All worlds share one stacked pass.  The success
-        probabilities are *not* computed here — the facade folds those
-        probes into its shared mixed-type read batch — so this builds
-        ``2 * horizon`` rows per candidate instead of the legacy
-        ``1 + 2 * horizon``.
+        scores apart.  The success probabilities are *not* computed
+        here — the facade folds those probes into its shared mixed-type
+        read batch.
 
-        Row layout and collation width match the legacy stacked path
-        exactly (per-row scores are independent of batch composition),
-        so the values are bit-identical to the pre-coalescing ones.
+        Each of the ``2 * len(candidates)`` worlds is the snapshot plus
+        the candidate answered 1 or 0; its ``horizon`` probe rows share
+        one entry that clone-extends ``root_entry`` (a warm entry
+        covering exactly the snapshot, see :meth:`_warm_root`) by the
+        candidate — every world in one batched encoder step
+        (:meth:`~repro.serve.forward_cache.StudentStreamCache.fork`),
+        zero forward passes.  Without a root the snapshot is warm-built
+        once, never per row.  Every world row goes through
+        :meth:`_score_rows` as one shared batch; with caching disabled
+        that is the raw re-encoding path, the golden reference.
         """
-        with self._lock:
-            # Pin the model once: a concurrent reload must not mix two
-            # weight sets across this method's stacked pass.
-            model = self.model
-        q_hist, r_hist, c_hist, k_hist = snapshot
-        n = len(q_hist)
-        history_width = c_hist.shape[1] if n else 1
-        recent = list(range(max(0, n - horizon), n))
-        num_candidates = len(candidates)
-        probes_per_candidate = 2 * len(recent)
-        rows = num_candidates * probes_per_candidate
-        if rows == 0:
-            return np.zeros(num_candidates)
-        length = n + 2
-        width = max(history_width,
-                    max(len(c.concept_ids) for c in candidates))
-
-        questions = np.full((rows, length), PAD_ID, dtype=np.int64)
-        responses = np.zeros((rows, length), dtype=np.int64)
-        concepts = np.full((rows, length, width), PAD_ID, dtype=np.int64)
-        counts = np.ones((rows, length), dtype=np.int64)
-        mask = np.zeros((rows, length), dtype=bool)
-        cols = np.empty(rows, dtype=np.int64)
-
-        questions[:, :n] = q_hist
-        responses[:, :n] = r_hist
-        concepts[:, :n, :history_width] = c_hist
-        counts[:, :n] = k_hist
-
-        row = 0
+        questions, responses, concepts, counts = snapshot
+        n = len(questions)
+        recent = range(max(0, n - horizon), n)
+        if not recent or not candidates:
+            return np.zeros(len(candidates))
+        probes = [(int(questions[p]),
+                   tuple(int(c) for c in concepts[p, :counts[p]]))
+                  for p in recent]
+        width = max([concepts.shape[1]]
+                    + [len(c.concept_ids) for c in candidates])
+        rows: List[_ContextRow] = []
         for candidate in candidates:
             ids = candidate.concept_ids
-            # Candidate answered correct/incorrect at column n, then
-            # each recent question re-asked at column n + 1.
             for assumed in (1, 0):
-                for past in recent:
-                    questions[row, n] = candidate.question_id
-                    responses[row, n] = assumed
-                    concepts[row, n, :len(ids)] = ids
-                    counts[row, n] = len(ids)
-                    questions[row, n + 1] = q_hist[past]
-                    past_width = k_hist[past]
-                    concepts[row, n + 1, :past_width] = \
-                        c_hist[past, :past_width]
-                    counts[row, n + 1] = past_width
-                    mask[row, :n + 2] = True
-                    cols[row] = n + 1
-                    row += 1
-
-        batch = Batch(questions, responses, concepts, counts, mask)
-        with no_grad():
-            scores = score_batch_targets(model, batch, cols,
-                                         target_batch=self.target_batch,
-                                         workers=self.workers,
-                                         executor=self._executor)
-
-        values = np.empty(num_candidates)
-        for index in range(num_candidates):
-            worlds = scores[index * probes_per_candidate:
-                            (index + 1) * probes_per_candidate]
-            correct_world = worlds[:len(recent)]
-            incorrect_world = worlds[len(recent):]
-            values[index] = np.abs(correct_world - incorrect_world).mean()
-        return values
+                world_concepts = np.full((n + 1, width), PAD_ID,
+                                         dtype=np.int64)
+                world_concepts[:n, :concepts.shape[1]] = concepts
+                world_concepts[n, :len(ids)] = ids
+                world = ArrayHistory(
+                    None, np.append(questions, candidate.question_id),
+                    np.append(responses, assumed), world_concepts,
+                    np.append(counts, len(ids)))
+                rows.extend(_ContextRow(world, 0, probe) for probe in probes)
+        with self._lock:
+            model = self.model
+            if root_entry is None and self.stream_caches.enabled:
+                root_entry = build_stream_caches(
+                    model, [ArrayHistory(None, *snapshot)])[0]
+        local = None
+        if root_entry is not None:
+            generator = model.generator
+            embedder = generator.embedder
+            vectors = [question_vector_for(embedder, c.question_id,
+                                           c.concept_ids)
+                       for c in candidates]
+            contents = [base_contents(np.asarray(assumed),
+                                      model.config.use_monotonicity)
+                        for assumed in (1, 0)]
+            # World order matches the rows: candidate-major, then
+            # assumed answer 1 before 0.
+            worlds = root_entry.fork(
+                generator.encoder,
+                np.stack([v for v in vectors for _ in contents]),
+                np.stack(contents * len(candidates)),
+                embedder.response_embedding.weight.data)
+            local = {index: worlds[index // len(probes)]
+                     for index in range(len(rows))}
+        scores, _ = self._score_rows(rows, local_entries=local)
+        # (candidate, assumed answer, re-asked question)
+        scores = scores.reshape(len(candidates), 2, len(probes))
+        return np.abs(scores[:, 0] - scores[:, 1]).mean(axis=1)

@@ -108,6 +108,11 @@ class StudentStreamCache:
         return (self.streams.nbytes + self.question_vectors.nbytes
                 + self.state.nbytes)
 
+    def covers(self, start: int, length: int) -> bool:
+        """True when this entry sits at window anchor ``start`` and
+        covers exactly history positions ``[start, length)``."""
+        return self.anchor == start and self.length == length - start
+
     def _grow(self) -> None:
         bases, capacity, dim = self.streams.shape
         if self.length < capacity:
@@ -138,6 +143,36 @@ class StudentStreamCache:
         self.question_vectors[self.length] = question_vector
         self.length += 1
 
+    def fork(self, encoder, question_vectors: np.ndarray,
+             response_categories: np.ndarray,
+             response_table: np.ndarray) -> List["StudentStreamCache"]:
+        """Independent one-step extensions of this entry, one per world.
+
+        Row ``w`` of ``question_vectors`` ``(worlds, dim)`` and of
+        ``response_categories`` ``(worlds, bases)`` is the interaction
+        world ``w`` appends — the same inputs :meth:`extend` takes.
+        Equivalent to ``clone()`` + ``extend()`` per world, but every
+        world advances in **one** batched encoder step over the base
+        rows tiled once per world.  The entry itself is not modified.
+        """
+        worlds, bases = response_categories.shape
+        state = self.state.take(np.tile(np.arange(bases), worlds))
+        interactions = question_vectors[:, None] + \
+            response_table[response_categories]
+        outputs = encoder.extend_forward_state(
+            state, interactions.reshape(worlds * bases, -1))
+        streams = self.streams[:, :self.length]
+        vectors = self.question_vectors[:self.length]
+        forks = []
+        for world in range(worlds):
+            rows = slice(world * bases, (world + 1) * bases)
+            forks.append(StudentStreamCache(
+                state.take(np.arange(rows.start, rows.stop)),
+                np.concatenate([streams, outputs[rows, None]], axis=1),
+                np.concatenate([vectors, question_vectors[world, None]]),
+                anchor=self.anchor))
+        return forks
+
     def stream_for(self, name: str) -> np.ndarray:
         """``(length, dim)`` cached stream for a variant base name."""
         if self.bases == 1:
@@ -147,14 +182,14 @@ class StudentStreamCache:
     def clone(self) -> "StudentStreamCache":
         """Independent deep copy of the filled prefix.
 
-        ``extend`` mutates in place, so anything that forks a shared
-        entry into a hypothetical timeline — the recourse search
-        appending assumed-correct practice items — must clone first.
+        ``extend`` mutates in place, so anything that reads a shared
+        entry outside the engine lock — the hypothetical-world roots of
+        recourse and recommend — must clone first.
         The constructor copies the passed arrays into fresh capacity
-        arrays; the state clones itself.
+        arrays; the state copies every row.
         """
         return StudentStreamCache(
-            self.state.clone(),
+            self.state.take(np.arange(self.bases)),
             self.streams[:, :self.length],
             self.question_vectors[:self.length],
             anchor=self.anchor,

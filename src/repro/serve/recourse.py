@@ -27,8 +27,8 @@ Batching contract (the whole point of riding the PR 4 scheduler):
 every generation is scored through
 :meth:`~repro.serve.engine.InferenceEngine._score_rows` as rows of
 **one** shared forward-stream batch — and practice worlds whose parent
-timeline is already warm extend a ``clone()`` of the parent's stream
-cache by a single encoder step, costing *zero* forward passes.  Only
+timeline is already warm fork the parent's stream cache by a single
+batched encoder step, costing *zero* forward passes.  Only
 ``fix_history`` worlds (whose edit rewrites the middle of the timeline)
 are re-encoded, all of them in the generation's single warm-build pass.
 Forward-call counting tests pin both properties.
@@ -228,14 +228,12 @@ class RecourseSearch:
         engine = self.engine
         probe = (self.query.question_id, self.query.concept_ids)
         rows = []
-        local: Dict[int, object] = {}
-        for index, world in enumerate(children):
+        for world in children:
             timeline = self._timeline(world)
-            start = engine._window_start(timeline.length)
-            rows.append(_ContextRow(timeline, start, probe))
-            entry = self._extended_entry(world, start)
-            if entry is not None:
-                local[index] = entry
+            rows.append(_ContextRow(timeline,
+                                    engine._window_start(timeline.length),
+                                    probe))
+        local = self._forked_entries(children, rows)
         scores, built = engine._score_rows(rows,
                                            local_entries=local or None)
         for index, world in enumerate(children):
@@ -266,27 +264,36 @@ class RecourseSearch:
         return ArrayHistory(self.query.student_id, questions, responses,
                             concepts, counts)
 
-    def _extended_entry(self, world: _World, start: int):
-        """Clone-extend the parent's warm entry for a practice world.
+    def _forked_entries(self, children: List[_World],
+                        rows: List[_ContextRow]) -> Dict[int, object]:
+        """Clone-extend warm parent entries into their practice children.
 
         Valid only when the child keeps the parent's window anchor (an
         append can slide the window, invalidating anchored state) and
-        the parent's entry still covers its whole timeline.  Returns a
-        private entry the shared batch consumes via ``local_entries`` —
-        zero forward passes for this row.
+        the parent's entry still covers its whole timeline.  All of one
+        parent's practice children extend in one batched encoder step
+        (:meth:`~repro.serve.forward_cache.StudentStreamCache.fork`);
+        the shared batch consumes the private entries via
+        ``local_entries`` — zero forward passes for these rows.
         """
-        parent = world.parent
-        move = world.move
-        if (move.kind != "practice" or parent is None
-                or parent.entry is None
-                or parent.entry.anchor != start
-                or parent.entry.length != parent.length
-                - parent.entry.anchor):
-            return None
-        entry = parent.entry.clone()
-        entry.extend(self.encoder, self.candidate_vectors[move.candidate],
-                     self.correct_categories, self.response_table)
-        return entry
+        families: Dict[int, Tuple[_World, List[int]]] = {}
+        for index, (world, row) in enumerate(zip(children, rows)):
+            parent = world.parent
+            if (world.move.kind == "practice" and parent.entry is not None
+                    and parent.entry.covers(row.start, parent.length)):
+                families.setdefault(id(parent), (parent, []))[1].append(
+                    index)
+        local: Dict[int, object] = {}
+        for parent, indices in families.values():
+            forks = parent.entry.fork(
+                self.encoder,
+                np.stack([self.candidate_vectors[
+                    children[index].move.candidate] for index in indices]),
+                np.repeat(self.correct_categories[None], len(indices),
+                          axis=0),
+                self.response_table)
+            local.update(zip(indices, forks))
+        return local
 
     # ------------------------------------------------------------------
     # Reply assembly

@@ -25,11 +25,12 @@ The scheduler
    targets) warm-built in one stacked pass.  Only the per-target
    backward streams run per query, column-banded and threaded on the
    engine's persistent worker pool.
-4. scores each :class:`RecommendQuery`'s assumed-answer value worlds in
-   one stacked pass per query
+4. scores each :class:`RecommendQuery`'s assumed-answer value worlds
    (:meth:`InferenceEngine._recommend_values`) against the history
-   snapshot its probes were admitted with, then blends them with the
-   shared-batch probabilities.
+   snapshot its probes were admitted with: every world clone-extends
+   the student's warm stream-cache entry by the candidate — zero
+   forward passes — and all of a query's worlds are scored as one
+   shared batch, then blended with the shared-batch probabilities.
 
 Replies come back in query order.  Window semantics are inherited
 unchanged: each row conditions on its anchored window slice, identical
@@ -38,6 +39,7 @@ to the engine's direct paths.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -113,13 +115,15 @@ class _PendingRecommend:
 
     ``snapshot`` pins the windowed history copies the probes were
     admitted against (the value worlds re-score the same context after
-    the engine lock is released); ``probabilities`` collects the
-    per-candidate success scores from the shared context, in candidate
-    order.
+    the engine lock is released) and ``length`` the full history length
+    they were cut from, which locates the snapshot's window anchor for
+    the warm-root test; ``probabilities`` collects the per-candidate
+    success scores from the shared context, in candidate order.
     """
 
     query: RecommendQuery
     snapshot: tuple
+    length: int
     probabilities: List[float] = field(default_factory=list)
 
 
@@ -505,10 +509,14 @@ class Service:
         """Admit a recommend query's success probes into the shared batch.
 
         One probe row per candidate (sharing the student's stream-cache
-        slot with any :class:`ScoreQuery` in the batch) — the last
-        uncoalesced read path, folded.  The assumed-answer value worlds
-        still run per query (:meth:`InferenceEngine._recommend_values`)
-        against the snapshot taken here, after the shared flush.
+        slot with any :class:`ScoreQuery` in the batch).  The assumed-
+        answer value worlds run after the shared flush, against the
+        snapshot taken here, by clone-extending the student's warm
+        entry (:meth:`InferenceEngine._recommend_values`) — so a warm
+        recommend costs no forward pass at all.  ``top_k`` and
+        ``horizon`` must be non-negative integers, ``target_success``
+        and ``value_weight`` finite numbers; anything else is a
+        :class:`MalformedQuery` naming the field.
         """
         for name, value, kinds in (
                 ("top_k", query.top_k, (int,)),
@@ -519,6 +527,20 @@ class Service:
                 expected = "an integer" if kinds == (int,) else "a number"
                 replies[index] = MalformedQuery(
                     f"{name} must be {expected}, got {value!r}",
+                    details={name: value})
+                return
+        for name, value in (("top_k", query.top_k),
+                            ("horizon", query.horizon)):
+            if value < 0:
+                replies[index] = MalformedQuery(
+                    f"{name} must be >= 0, got {value!r}",
+                    details={name: value})
+                return
+        for name, value in (("target_success", query.target_success),
+                            ("value_weight", query.value_weight)):
+            if isinstance(value, float) and not math.isfinite(value):
+                replies[index] = MalformedQuery(
+                    f"{name} must be finite, got {value!r}",
                     details={name: value})
                 return
         for candidate in query.candidates:
@@ -542,7 +564,7 @@ class Service:
             return
         start = engine._window_start(history.length)
         recommends[index] = _PendingRecommend(
-            query, engine._snapshot_window(history))
+            query, engine._snapshot_window(history), history.length)
         for candidate in query.candidates:
             rows.append(_ContextRow(history, start,
                                     (candidate.question_id,
@@ -871,10 +893,16 @@ class Service:
 
     def _recommend_reply(self, engine: InferenceEngine, model_name: str,
                          pending: _PendingRecommend) -> RecommendReply:
-        """Blend shared-batch probabilities with the value worlds."""
+        """Blend shared-batch probabilities with the value worlds.
+
+        The value worlds start from the student's warm stream-cache
+        entry — which the success probes just built if the student was
+        cold — under the same root test as the recourse search.
+        """
         query = pending.query
-        values = engine._recommend_values(pending.snapshot,
-                                          query.candidates, query.horizon)
+        values = engine._recommend_values(
+            pending.snapshot, query.candidates, query.horizon,
+            root_entry=engine._warm_root(query.student_id, pending.length))
         items = []
         for candidate, probability, value in zip(query.candidates,
                                                  pending.probabilities,
@@ -904,15 +932,8 @@ class Service:
         batched passes either way.
         """
         query = pending.query
-        length = len(pending.snapshot[0])
-        start = engine._window_start(length)
-        root_entry = None
-        if engine.stream_caches.enabled:
-            with engine._lock:
-                entry = engine.stream_caches.peek(query.student_id)
-                if entry is not None and entry.anchor == start \
-                        and entry.length == length - start:
-                    root_entry = entry.clone()
+        root_entry = engine._warm_root(query.student_id,
+                                       len(pending.snapshot[0]))
         search = RecourseSearch(engine, model_name, query,
                                 pending.snapshot, pending.baseline,
                                 root_entry)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core import ENCODERS, RCKT, RCKTConfig
 from repro.data import (SimulationConfig, StudentSimulator, build_dataset)
 from repro.serve import InferenceEngine, ScoreQuery, ScoreRequest, is_error
+from repro.serve.forward_cache import base_contents, question_vector_for
 
 ATOL = 1e-10
 
@@ -141,6 +142,47 @@ class TestCacheLifecycle:
         engine.record("s", 4, 0, (2,))
         score(engine, "s", 7, (3,))
         assert engine.stream_cache_stats()["misses"] == misses_after_build
+
+    @pytest.mark.parametrize("use_monotonicity", [True, False])
+    def test_fork_matches_clone_then_extend(self, encoder,
+                                            use_monotonicity):
+        """One batched fork step equals clone() + extend() per world,
+        leaves the forked entry untouched, and the forks keep extending
+        like any entry (the recourse search grows them generation by
+        generation)."""
+        model = make_model(encoder, use_monotonicity=use_monotonicity)
+        engine = InferenceEngine(model)
+        for step in range(5):
+            engine.record("s", 1 + step, step % 2, (1 + step % 5,))
+        score(engine, "s", 7, (3,))
+        root = engine.stream_caches.peek("s")
+        length, state_length = root.length, root.state.length
+        streams = root.streams[:, :length].copy()
+        generator = model.generator
+        table = generator.embedder.response_embedding.weight.data
+        worlds = [(4, 1, (2,)), (4, 0, (2,)), (9, 1, (1, 3))]
+        vectors = np.stack([question_vector_for(generator.embedder, q, c)
+                            for q, _, c in worlds])
+        categories = np.stack([base_contents(np.asarray(r),
+                                             use_monotonicity)
+                               for _, r, _ in worlds])
+        forks = root.fork(generator.encoder, vectors, categories, table)
+        assert (root.length, root.state.length) == (length, state_length)
+        np.testing.assert_array_equal(root.streams[:, :length], streams)
+        for fork, vector, category in zip(forks, vectors, categories):
+            expected = root.clone()
+            expected.extend(generator.encoder, vector, category, table)
+            for entry in (fork, expected):
+                entry.extend(generator.encoder, vectors[0], categories[0],
+                             table)
+            assert fork.length == expected.length == length + 2
+            assert fork.anchor == expected.anchor
+            np.testing.assert_allclose(fork.streams[:, :fork.length],
+                                       expected.streams[:, :fork.length],
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(
+                fork.question_vectors[:fork.length],
+                expected.question_vectors[:fork.length])
 
     def test_eviction_mid_stream_recovers(self, encoder):
         model = make_model(encoder)

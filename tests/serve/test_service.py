@@ -1,12 +1,16 @@
 """The typed Service facade: parity, scheduler coalescing, taxonomy, shims."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import ENCODERS, RCKT, RCKTConfig
 from repro.core.masking import window_start
 from repro.data import (Interaction, SimulationConfig, StudentSequence,
                         StudentSimulator, build_dataset, collate)
+from repro.obs import names as metric_names
 from repro.serve import (BatchEnvelope, CandidateQuestion, EmptyHistory,
                          ExplainQuery, HistoryEdit, InferenceEngine,
                          InternalError, InvalidConcept, InvalidEdit,
@@ -30,10 +34,11 @@ def make_dataset(num_students=6, seed=11):
                          NUM_QUESTIONS, NUM_CONCEPTS)
 
 
-def make_model(encoder="dkt", dim=8, layers=1, seed=3):
+def make_model(encoder="dkt", dim=8, layers=1, seed=3,
+               use_monotonicity=True):
     return RCKT(NUM_QUESTIONS, NUM_CONCEPTS,
                 RCKTConfig(encoder=encoder, dim=dim, layers=layers,
-                           seed=seed))
+                           seed=seed, use_monotonicity=use_monotonicity))
 
 
 def seed_idiom_score(model, interactions, question_id, concept_ids):
@@ -44,6 +49,33 @@ def seed_idiom_score(model, interactions, question_id, concept_ids):
     return float(model.predict_scores(batch,
                                       np.array([len(sequence) - 1]))[0])
 
+
+
+def value_recommend(student, **kwargs):
+    """A recommend whose value worlds matter: three candidates, one of
+    them multi-concept, re-asking the three most recent questions."""
+    params = {"top_k": 3, "horizon": 3, **kwargs}
+    return RecommendQuery(student, (CandidateQuestion(3, (1,)),
+                                    CandidateQuestion(9, (2,)),
+                                    CandidateQuestion(17, (4, 5))),
+                          **params)
+
+
+def rebuilt_histories():
+    """Histories warm-built so far, process-wide (each is one row of a
+    stacked capture pass)."""
+    return obs.get_registry().counter(
+        metric_names.STREAM_CACHE_REBUILDS_TOTAL).value
+
+
+def assert_same_items(reply, reference, atol):
+    assert reply.ok and reference.ok
+    assert [item.question_id for item in reply.items] == \
+        [item.question_id for item in reference.items]
+    for mine, ref in zip(reply.items, reference.items):
+        for attribute in ("success_probability", "value", "score"):
+            assert abs(getattr(mine, attribute)
+                       - getattr(ref, attribute)) <= atol, attribute
 
 
 def legacy(method, *args, **kwargs):
@@ -147,6 +179,49 @@ class TestParity:
 
 
 # ---------------------------------------------------------------------------
+# Recommend value worlds: clone-extended caches == raw re-encoding
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("encoder", ENCODERS)
+@pytest.mark.parametrize("use_monotonicity", [True, False])
+def test_recommend_values_match_cache_disabled_engine(encoder,
+                                                      use_monotonicity,
+                                                      dataset):
+    """Clone-extended value worlds (the three variant bases, or the
+    single "-mono" base) score like the raw re-encoding path."""
+    model = make_model(encoder, use_monotonicity=use_monotonicity)
+    cached = Service(InferenceEngine(model))
+    uncached = Service(InferenceEngine(model, stream_cache_bytes=0))
+    for service in (cached, uncached):
+        service.engine().load_dataset(dataset)
+    for sequence in [s for s in dataset if len(s) >= 4][:3]:
+        query = value_recommend(sequence.student_id)
+        assert_same_items(cached.execute(query), uncached.execute(query),
+                          1e-12)
+
+
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_windowed_recommend_values_match_after_the_window_slid(encoder,
+                                                               dataset):
+    model = make_model(encoder)
+    cached = Service(InferenceEngine(model, window=6, window_hop=2))
+    uncached = Service(InferenceEngine(model, stream_cache_bytes=0,
+                                       window=6, window_hop=2))
+    sequence = next(s for s in dataset if len(s) >= 8)
+    student = sequence.student_id
+    for service in (cached, uncached):
+        service.engine().load_dataset(dataset)
+    anchor = cached.engine()._window_start(len(sequence))
+    assert cached.execute(ScoreQuery(student, 7, (3,))).ok   # warm
+    for question in (4, 12, 20):
+        for service in (cached, uncached):
+            service.engine().record(student, question, question % 2, (2,))
+    length = cached.engine().history_length(student)
+    assert cached.engine()._window_start(length) > anchor   # slid
+    query = value_recommend(student)
+    assert_same_items(cached.execute(query), uncached.execute(query), 1e-12)
+
+
+# ---------------------------------------------------------------------------
 # Scheduler: mixed-type coalescing into one shared forward-stream batch
 # ---------------------------------------------------------------------------
 class TestMixedBatchCoalescing:
@@ -204,7 +279,7 @@ class TestMixedBatchCoalescing:
                                                     dataset, monkeypatch):
         """Success-probability probes are coalesced: a mixed batch with
         a recommend does exactly the forward work the recommend alone
-        does (its value worlds) — zero extra passes for the probes."""
+        does — zero extra passes for the probes."""
         student = next(s for s in dataset if len(s) >= 4).student_id
         recommend = RecommendQuery(
             student, (CandidateQuestion(3, (1,)),
@@ -238,9 +313,76 @@ class TestMixedBatchCoalescing:
         ])
         assert all(reply.ok for reply in replies)
         # Cold score rows, recommend probe rows, and the explain target
-        # all warm-build in ONE stacked capture pass; the only other
-        # encoder work is the recommend's value worlds.
-        assert counts["capture"] == 1
+        # all warm-build in ONE stacked capture pass; the recommend's
+        # value worlds then clone-extend the entry that pass built.
+        assert counts == {"capture": 1, "forward": 0}
+
+    def test_warm_recommend_runs_no_forward_streams(self, service,
+                                                    dataset, monkeypatch):
+        """Value worlds clone-extend the warm entry: a warm recommend
+        runs only per-target backward streams."""
+        student = next(s for s in dataset if len(s) >= 6).student_id
+        assert service.execute(ScoreQuery(student, 7, (3,))).ok
+        counts = self._counting(service.engine(), monkeypatch)
+        reply = service.execute(value_recommend(student))
+        assert reply.ok and len(reply.items) == 3
+        assert counts == {"capture": 0, "forward": 0}
+
+    def test_cold_recommend_runs_only_the_warmup_capture(self, service,
+                                                         dataset,
+                                                         monkeypatch):
+        student = next(s for s in dataset if len(s) >= 6).student_id
+        counts = self._counting(service.engine(), monkeypatch)
+        assert service.execute(value_recommend(student)).ok
+        assert counts == {"capture": 1, "forward": 0}
+
+    def test_evicted_root_costs_at_most_one_extra_capture(self, model,
+                                                          dataset,
+                                                          monkeypatch):
+        """Under a byte budget too small to keep any entry, the probes'
+        warm-build is evicted at once; the value worlds rebuild one
+        root from the snapshot — never one build per world row."""
+        engine = InferenceEngine(model, stream_cache_bytes=1)
+        engine.load_dataset(dataset)
+        uncached = InferenceEngine(model, stream_cache_bytes=0)
+        uncached.load_dataset(dataset)
+        student = next(s for s in dataset if len(s) >= 6).student_id
+        counts = self._counting(engine, monkeypatch)
+        rebuilds = rebuilt_histories()
+        reply = Service(engine).execute(value_recommend(student))
+        assert counts["forward"] == 0 and counts["capture"] <= 2
+        assert rebuilt_histories() - rebuilds <= 2   # probes + one root
+        assert len(engine.stream_caches) == 0
+        assert_same_items(reply, Service(uncached).execute(
+            value_recommend(student)), 1e-12)
+
+    def test_stale_root_costs_at_most_one_extra_capture(self, model,
+                                                        dataset,
+                                                        monkeypatch):
+        """A record landing between the shared flush and the value
+        worlds extends the stored entry past the snapshot: the worlds
+        rebuild one root from the snapshot they were admitted with."""
+        engine = InferenceEngine(model)
+        engine.load_dataset(dataset)
+        uncached = InferenceEngine(model, stream_cache_bytes=0)
+        uncached.load_dataset(dataset)
+        student = next(s for s in dataset if len(s) >= 6).student_id
+        expected = Service(uncached).execute(value_recommend(student))
+        service = Service(engine)
+        assert service.execute(ScoreQuery(student, 7, (3,))).ok
+        real_reply = Service._recommend_reply
+
+        def record_first(self, engine, model_name, pending):
+            engine.record(pending.query.student_id, 4, 1, (2,))
+            return real_reply(self, engine, model_name, pending)
+
+        monkeypatch.setattr(Service, "_recommend_reply", record_first)
+        counts = self._counting(engine, monkeypatch)
+        rebuilds = rebuilt_histories()
+        reply = service.execute(value_recommend(student))
+        assert counts == {"capture": 1, "forward": 0}
+        assert rebuilt_histories() - rebuilds == 1   # the one root
+        assert_same_items(reply, expected, 1e-12)
 
     def test_mixed_batch_matches_individual_execution(self, model,
                                                       dataset):
@@ -324,6 +466,29 @@ class TestErrorTaxonomy:
         reply = service.execute(RecommendQuery(
             "ghost", (CandidateQuestion(3, (1,)),)))
         assert isinstance(reply, EmptyHistory)
+
+    @pytest.mark.parametrize("field, value", [
+        ("top_k", -1), ("horizon", -1),
+        ("target_success", float("nan")), ("target_success", float("inf")),
+        ("value_weight", float("-inf")), ("value_weight", float("nan"))])
+    def test_recommend_out_of_range_parameters(self, service, dataset,
+                                               field, value):
+        student = list(dataset)[0].student_id
+        reply = service.execute(RecommendQuery(
+            student, (CandidateQuestion(3, (1,)),), **{field: value}))
+        assert isinstance(reply, MalformedQuery)
+        assert field in reply.message
+        detail = reply.detail(field)
+        assert detail == value or (math.isnan(value) and math.isnan(detail))
+
+    def test_recommend_range_edges_are_accepted(self, service, dataset):
+        student = next(s for s in dataset if len(s) >= 6).student_id
+        assert service.execute(value_recommend(student, top_k=0)) \
+            .items == ()
+        flat = service.execute(RecommendQuery(
+            student, (CandidateQuestion(3, (1,)),
+                      CandidateQuestion(9, (2,))), horizon=0))
+        assert flat.ok and [item.value for item in flat.items] == [0.0, 0.0]
 
     def test_invalid_edits(self, service, dataset):
         student = list(dataset)[0].student_id
