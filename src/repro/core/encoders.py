@@ -26,6 +26,7 @@ Three adapters mirror the paper's Sec. V-A4:
 from __future__ import annotations
 
 import abc
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -112,6 +113,46 @@ class AttentionStreamState(ForwardStreamState):
             [cache.take(rows) for cache in self.caches], self.length)
 
 
+@dataclass
+class InterventionRows:
+    """Backward-stream inputs of one multi-target call, unstacked.
+
+    A *lane* is one (variant, target) backward row: lane ``v * T + t`` is
+    row ``rows[t]`` of base content ``variant_bases[v]`` with the
+    intervened interaction ``interventions[t, variant_answers[v]]``
+    written at column ``cols[t]``, and its mask is ``mask[rows[t]]``
+    truncated after that column.  Only the ``T`` targets' two intervened
+    vectors differ between lanes of a row, which is what lets the
+    attention encoders share the first layer's work across them.
+    """
+
+    bases: np.ndarray            # (nb, R, W, D) raw interaction rows
+    mask: np.ndarray             # (R, W) real positions
+    rows: np.ndarray             # (T,) row of each target
+    cols: np.ndarray             # (T,) target column
+    interventions: np.ndarray    # (T, 2, D) target interaction, answer 0/1
+    variant_bases: np.ndarray    # (V,) base content of each variant
+    variant_answers: np.ndarray  # (V,) intervened answer of each variant
+
+    def lane_mask(self) -> np.ndarray:
+        """``(V * T, W)`` mask of every lane."""
+        width = self.mask.shape[1]
+        mask = self.mask[self.rows] & (np.arange(width) <= self.cols[:, None])
+        return np.tile(mask, (len(self.variant_bases), 1))
+
+    def lane_inputs(self) -> np.ndarray:
+        """``(V * T, W, D)`` stacked interaction rows of every lane."""
+        count = len(self.cols)
+        lanes = self.bases[self.variant_bases[:, None],
+                           self.rows[None, :]].reshape(
+            (-1,) + self.bases.shape[2:])
+        targets = np.tile(np.arange(count), len(self.variant_bases))
+        lanes[np.arange(len(lanes)), self.cols[targets]] = \
+            self.interventions[targets,
+                               np.repeat(self.variant_answers, count)]
+        return lanes
+
+
 def shift_and_combine(forward_stream: Tensor, backward_stream: Tensor) -> Tensor:
     """``h_i = forward[i-1] + backward[i+1]`` with zeros past the edges.
 
@@ -134,8 +175,8 @@ class BidirectionalEncoder(nn.Module, abc.ABC):
     stream at position ``j`` only reads inputs ``<= j``, which for every
     counterfactual variant are independent of the target column, so one
     forward pass per sequence serves all of its targets.  Only the
-    *backward* stream (which consumes the intervened target first) needs
-    one row per target.
+    *backward* stream consumes the intervened target; :meth:`backward_at`
+    prices it at just the positions the influence sums read.
     """
 
     @abc.abstractmethod
@@ -153,6 +194,15 @@ class BidirectionalEncoder(nn.Module, abc.ABC):
         """``mask`` is ``(B, L)`` with True at real positions."""
         return shift_and_combine(self.forward_stream(interactions, mask),
                                  self.backward_stream(interactions, mask))
+
+    @abc.abstractmethod
+    def backward_at(self, inputs: InterventionRows, lanes: np.ndarray,
+                    positions: np.ndarray) -> np.ndarray:
+        """No-grad, eval-mode backward-stream states ``(N, D)`` of lane
+        ``lanes[n]`` at position ``positions[n]`` (``1 <= position <=``
+        the lane's target column): what :meth:`backward_stream` over
+        :meth:`InterventionRows.lane_inputs` would emit there.
+        """
 
     # ------------------------------------------------------------------
     # Incremental forward-stream serving API (no-grad, eval mode)
@@ -224,6 +274,14 @@ class BiDKTEncoder(BidirectionalEncoder):
                         mask: Optional[np.ndarray] = None) -> Tensor:
         return self._run_stack(self.backward_layers, interactions, mask=mask)
 
+    def backward_at(self, inputs: InterventionRows, lanes: np.ndarray,
+                    positions: np.ndarray) -> np.ndarray:
+        """The recurrence runs over every lane; only the gather is
+        restricted."""
+        stream = self.backward_stream(Tensor(inputs.lane_inputs()),
+                                      mask=inputs.lane_mask()).data
+        return stream[lanes, positions]
+
     # ------------------------------------------------------------------
     # Incremental forward-stream serving API
     # ------------------------------------------------------------------
@@ -266,6 +324,14 @@ class BiDKTEncoder(BidirectionalEncoder):
         return LSTMStreamState(h, c, length)
 
 
+def _with_ones(values: np.ndarray) -> np.ndarray:
+    """``[values | 1]`` along the last axis (softmax denominator column)."""
+    out = np.empty(values.shape[:-1] + (values.shape[-1] + 1,))
+    out[..., :-1] = values
+    out[..., -1] = 1.0
+    return out
+
+
 class _DirectionalTransformer(nn.Module):
     """A stack of transformer blocks restricted to one direction.
 
@@ -300,6 +366,163 @@ class _DirectionalTransformer(nn.Module):
         for block in self.blocks:
             x = block(x, mask=allowed)
         return x
+
+    def backward_at(self, inputs: InterventionRows, lanes: np.ndarray,
+                    positions: np.ndarray) -> np.ndarray:
+        """:meth:`BidirectionalEncoder.backward_at` for a backward stack.
+
+        The first block's keys and values over positions ``[p, c-1]``
+        belong to the lane's base row, whatever its target: they are
+        projected, scored and exponentiated once per (row, base) and
+        summed into online-softmax statistics, and each lane's query at
+        ``p`` merges those with its own intervened key at ``c``
+        (:meth:`_first_block_at`).  With one block that is the whole
+        stream.  Deeper stacks scatter the first block's outputs into
+        full-width lanes for the middle blocks and run the last block's
+        queries only at the requested positions.
+        """
+        blocks = list(self.blocks)
+        if len(blocks) == 1:
+            return self._first_block_at(blocks[0], inputs, lanes, positions)
+        lane_mask = inputs.lane_mask()
+        every_lane, every_position = np.nonzero(lane_mask)
+        first = every_position >= 1
+        every_lane, every_position = every_lane[first], every_position[first]
+        width = lane_mask.shape[1]
+        x = np.zeros((len(lane_mask), width, inputs.bases.shape[3]))
+        x[every_lane, every_position] = self._first_block_at(
+            blocks[0], inputs, every_lane, every_position)
+        allowed = nn.anti_causal_mask(width, strict=False)[None] \
+            & lane_mask[:, None, :]
+        for block in blocks[1:-1]:
+            x = block.forward_np(x, allowed[:, None])
+        return self._last_block_at(blocks[-1], x, allowed, lanes, positions)
+
+    def _first_block_at(self, block, inputs: InterventionRows,
+                        lanes: np.ndarray, positions: np.ndarray
+                        ) -> np.ndarray:
+        """First-block outputs of the given (lane, position) pairs.
+
+        A lane of target ``t`` at query ``p`` attends keys ``[p, c]``:
+        ``[p, c - 1]`` from its base row's online-softmax statistics as
+        they stand at column ``c``, and the intervened key ``c``.  The
+        statistics carry their own max and the merge rescales to the max
+        over the lane's allowed keys, so logits spanning thousands stay
+        finite and a score does not depend on what else shares the call.
+        """
+        attention = block.attention
+        heads, head_dim = attention.heads, attention.head_dim
+        count_bases, count_rows, width, dim = inputs.bases.shape
+        rows, cols = inputs.rows, inputs.cols
+        count = len(cols)
+        table = self.positions.ensure(width)
+        x = inputs.bases + table[:width]
+        intervened = inputs.interventions + table[cols][:, None, :]
+
+        # Per (row, base): projections, decayed logits (nb, R, H, W, W)
+        # and values with a ones column for the softmax denominator.
+        shape = (count_bases, count_rows, width, heads, head_dim)
+        q = attention.query_proj.forward_np(x).reshape(-1, heads, head_dim)
+        k = attention.key_proj.forward_np(x).reshape(shape).swapaxes(2, 3)
+        v = _with_ones(attention.value_proj.forward_np(x).reshape(shape)
+                       ).swapaxes(2, 3)
+        x = x.reshape(-1, dim)
+        keys = np.arange(width)
+        logits = attention.scale_logits(
+            q.reshape(shape).swapaxes(2, 3) @ k.swapaxes(-1, -2),
+            np.abs(keys[:, None] - keys))
+
+        # Keys [p, c - 1] come from the lane's base row.  One masked
+        # product covers [p, c0 - 1], c0 being the row's first target
+        # column; rows with later targets then fold in keys c0, c0 + 1,
+        # ... one online-softmax step at a time, and each target reads
+        # the statistics as they stand at its own column.
+        everyone = np.arange(count_rows)[:, None]
+        first_col = np.full(count_rows, width)
+        np.minimum.at(first_col, rows, cols)
+        span = int((cols - first_col[rows]).max())
+        step_keys = first_col[:, None] + np.arange(span)  # (R, span)
+        step_open = step_keys < width
+        step_keys = np.minimum(step_keys, width - 1)
+        step_open &= inputs.mask[everyone, step_keys]
+        # Gathered before the first product overwrites the logits.
+        step_logits = logits.transpose(1, 4, 0, 3, 2)[everyone, step_keys]
+        step_values = v[:, everyone, :, step_keys]  # (R, span, nb, H, ·)
+        first = (keys >= keys[:, None]) \
+            & ((keys < first_col[:, None]) & inputs.mask)[:, None, :]
+        top, weighted = (np.ascontiguousarray(part.swapaxes(2, 3)) for part
+                         in nn.softmax_stats(logits, first[None, :, None], v))
+
+        targets = lanes % count
+        variants = lanes // count
+        base = inputs.variant_bases[variants]
+        at = (base * count_rows + rows[targets]) * width + positions
+        steps = (cols - first_col[rows])[targets]
+        order = np.argsort(steps, kind="stable")
+        bounds = np.searchsorted(steps[order], np.arange(span + 2))
+        prefix_top = np.empty((len(lanes), heads, 1))
+        prefix_weighted = np.empty((len(lanes), heads, head_dim + 1))
+        for step in range(span + 1):
+            chosen = order[bounds[step]:bounds[step + 1]]
+            prefix_top[chosen] = top.reshape(-1, heads, 1)[at[chosen]]
+            prefix_weighted[chosen] = weighted.reshape(
+                -1, heads, head_dim + 1)[at[chosen]]
+            if step < span:
+                allowed = (keys <= step_keys[:, step, None]) \
+                    & step_open[:, step, None]
+                top, weighted = nn.extend_softmax_stats(
+                    top, weighted,
+                    np.where(allowed[None, :, :, None, None],
+                             step_logits[:, step].swapaxes(0, 1)[..., None],
+                             -np.inf),
+                    step_values[:, step].swapaxes(0, 1)[:, :, None])
+
+        # The intervened key and value of each (target, answer).
+        own = intervened.reshape(-1, dim)
+        own_k = attention.key_proj.forward_np(own).reshape(-1, heads,
+                                                           head_dim)
+        own_v = _with_ones(attention.value_proj.forward_np(own).reshape(
+            -1, heads, head_dim))
+        target_own = targets * 2 + inputs.variant_answers[variants]
+        own_logit = attention.scale_logits(
+            np.einsum("nhd,nhd->nh", q[at], own_k[target_own])[..., None,
+                                                               None],
+            (cols[targets] - positions)[:, None, None, None])[..., 0]
+        parts = [(prefix_top, prefix_weighted),
+                 (own_logit, own_v[target_own])]
+        context = nn.merge_softmax_stats(parts).reshape(len(lanes), dim)
+        block_input = x[at]
+        at_target = positions == cols[targets]
+        block_input[at_target] = own[target_own[at_target]]
+        return nn.in_row_blocks(
+            lambda x, context: block._residual_ffn_np(
+                x, attention.out_proj.forward_np(context)),
+            block_input, context)
+
+    @staticmethod
+    def _last_block_at(block, x: np.ndarray, allowed: np.ndarray,
+                       lanes: np.ndarray, positions: np.ndarray
+                       ) -> np.ndarray:
+        """Last-block outputs at the given (lane, position) pairs only:
+        each lane's requested queries are packed into one padded row
+        and attend over the lane's full-width block input ``x``."""
+        count = len(x)
+        order = np.argsort(lanes, kind="stable")
+        per_lane = np.bincount(lanes, minlength=count)
+        slot = np.empty(len(lanes), dtype=np.int64)
+        slot[order] = np.arange(len(lanes)) \
+            - np.repeat(np.cumsum(per_lane) - per_lane, per_lane)
+        packed = np.zeros((count, max(int(per_lane.max(initial=0)), 1)),
+                          dtype=np.int64)
+        packed[lanes, slot] = positions
+        query_allowed = allowed[np.arange(count)[:, None], packed]
+        context = block.attention.context_np(
+            x[np.arange(count)[:, None], packed], x, x,
+            query_allowed[:, None], query_positions=packed)
+        return nn.in_row_blocks(
+            lambda x, context: block._residual_ffn_np(
+                x, block.attention.out_proj.forward_np(context)),
+            x[lanes, positions], context[lanes, slot])
 
     def forward_capture(self, x: Tensor, mask: Optional[np.ndarray]
                         ) -> Tuple[np.ndarray, List]:
@@ -348,6 +571,10 @@ class BiSAKTEncoder(BidirectionalEncoder):
     def backward_stream(self, interactions: Tensor,
                         mask: Optional[np.ndarray] = None) -> Tensor:
         return self.backward_stack(interactions, mask)
+
+    def backward_at(self, inputs: InterventionRows, lanes: np.ndarray,
+                    positions: np.ndarray) -> np.ndarray:
+        return self.backward_stack.backward_at(inputs, lanes, positions)
 
     # ------------------------------------------------------------------
     # Incremental forward-stream serving API

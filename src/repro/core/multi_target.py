@@ -3,7 +3,7 @@
 The legacy evaluation protocol materializes one re-collated prefix batch
 per target position, so a sequence of length ``T`` costs O(T^2) collation
 work and runs ``4T`` full encoder rows (4 counterfactual variants per
-target).  This module restructures that work around two observations:
+target).  This module restructures that work around three observations:
 
 1. **Collate once.**  ``expand_targets`` semantics: a target at column
    ``c`` is a row of the sequence's single collated batch whose mask is
@@ -17,16 +17,32 @@ target).  This module restructures that work around two observations:
    factual row (factual for ``F+``/``F-``, correct-masked for ``CF-``,
    incorrect-masked for ``CF+``) — independent of *which* column is the
    target.  So one forward pass over each of the three base rows serves
-   every target of the sequence, and only the backward stream (which
-   consumes the intervened target first) needs one row per
-   (variant, target) pair.  This halves encoder work and lets the
-   question/concept embeddings be computed once per sequence instead of
-   once per variant row.
+   every target of the sequence, and the question/concept embeddings are
+   computed once per sequence instead of once per variant row.
+
+3. **Backward streams compute only what Eq. 12 reads.**  Eq. 12 sums
+   ``F+ - CF-`` over the factual-correct history and ``CF+ - F-`` over
+   the factual-incorrect history, so each (variant, target) *lane* is
+   needed at about half its positions; the encoder's
+   :meth:`~repro.core.encoders.BidirectionalEncoder.backward_at`
+   returns backward states at exactly those (lane, position) pairs, and
+   only they reach the head.  The attention encoders also share the
+   first block across the targets of a row: a lane's query at ``p``
+   attends keys ``[p, c-1]`` of its base row, the same for every target
+   past ``p``, plus the one intervened key at ``c``.  Those keys are
+   projected, scored and exponentiated once per (row, base) into
+   online-softmax statistics (:func:`repro.nn.softmax_stats`), and each
+   lane merges its own key in exactly
+   (:func:`repro.nn.merge_softmax_stats`).  The LSTM (dkt) keeps one
+   backward recurrence per lane.
 
 Targets are processed in column-sorted chunks truncated to the chunk's
 longest target, so a target at column ``c`` pays O(c) recurrence steps
 (O(c^2) attention) like its exact prefix would, while sharing one stacked
-generator pass with ``target_batch - 1`` neighbours.
+generator pass with ``target_batch - 1`` neighbours.  The evaluation
+sweep tiles each group's targets by rows as well as columns
+(:func:`row_tiled_chunks`), so the rows of a chunk carry several
+targets each and share their first-block prefix among them.
 
 Long histories can additionally be scored over a sliding ``window``: a
 target whose history exceeds the window is re-based onto its anchored
@@ -39,14 +55,17 @@ by construction.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.data import (Batch, KTDataset, collate, expand_targets,
                         expand_windowed_targets)
-from repro.tensor import Tensor, concat
+from repro import nn
+from repro.tensor import Tensor, sigmoid_array
 
+from .encoders import InterventionRows
 from .influence import compute_influences
 from .masking import (COUNTERFACTUAL_VARIANTS, MASKED, VariantSet,
                       window_starts)
@@ -60,6 +79,16 @@ VARIANT_BASES: Dict[str, Tuple[str, int]] = {
 }
 
 FORWARD_BASES = ("factual", "correct_masked", "incorrect_masked")
+
+# variant -> the Eq. 12 index set its probabilities are read on: Δ⁺ pairs
+# F+ with CF- over the correct history, Δ⁻ pairs CF+ with F- over the
+# incorrect history.
+VARIANT_READS: Dict[str, str] = {
+    "f_plus": "correct",
+    "cf_minus": "correct",
+    "f_minus": "incorrect",
+    "cf_plus": "incorrect",
+}
 
 
 class MultiTargetContext:
@@ -142,6 +171,11 @@ class MultiTargetContext:
         what the serving layer's explanation queries itemize.  Grids are
         truncated to ``max(target_cols) + 1`` columns; row ``k`` of the
         result corresponds to pair ``k``.
+
+        Only the probabilities Eq. 12 reads are computed: F⁺/CF⁻ at the
+        factual-correct history positions, CF⁺/F⁻ at the
+        factual-incorrect ones.  The variant grids are zero elsewhere,
+        where the Δ grids are zero anyway.
         """
         rows = np.asarray(row_indices)
         cols = np.asarray(target_cols)
@@ -150,50 +184,70 @@ class MultiTargetContext:
         generator = self._generator
         count = len(rows)
         width = int(cols.max()) + 1
-        arange = np.arange(count)
         columns = np.arange(width)[None, :]
-
-        mask = self.base.mask[rows, :width] & (columns <= cols[:, None])
-        history = mask & (columns < cols[:, None])
+        history = self.base.mask[rows, :width] & (columns < cols[:, None])
         responses = self.base.responses[rows, :width]
-        correct = history & (responses == 1)
-        incorrect = history & (responses == 0)
+        index_sets = {"correct": history & (responses == 1),
+                      "incorrect": history & (responses == 0)}
 
-        # Backward-stream rows: base-variant content with the intervention
-        # written at the target column, one row per (variant, target).
-        variant_rows = {}
-        for name in COUNTERFACTUAL_VARIANTS:
-            base_name, intervention = VARIANT_BASES[name]
-            content = self.base_responses[base_name][rows, :width].copy()
-            content[arange, cols] = intervention
-            variant_rows[name] = content
-        stacked_responses = np.concatenate(
-            [variant_rows[name] for name in COUNTERFACTUAL_VARIANTS], axis=0)
+        # One interaction row per (row of the call, distinct base
+        # content); the lanes' backward rows differ from these only at
+        # their target column.
+        call_rows, target_rows = np.unique(rows, return_inverse=True)
+        questions = self.question_vectors[call_rows, :width]
+        embedding = generator.embedder.response_embedding
+        bases, slots = [], {}
+        for name in FORWARD_BASES:
+            content = self.base_responses[name]
+            if id(content) not in slots:  # "-mono": one shared content
+                slots[id(content)] = len(bases)
+                bases.append(questions
+                             + embedding(content[call_rows, :width]).data)
+        base_of = {name: slots[id(self.base_responses[name])]
+                   for name in FORWARD_BASES}
+        inputs = InterventionRows(
+            bases=np.stack(bases),
+            mask=self.base.mask[call_rows, :width],
+            rows=target_rows.reshape(-1), cols=cols,
+            interventions=self.question_vectors[rows, cols][:, None, :]
+            + embedding.weight.data[None, :2],
+            variant_bases=np.array([base_of[VARIANT_BASES[name][0]]
+                                    for name in COUNTERFACTUAL_VARIANTS]),
+            variant_answers=np.array([VARIANT_BASES[name][1]
+                                      for name in COUNTERFACTUAL_VARIANTS]))
 
-        questions = self.question_vectors[rows, :width]
-        questions_stacked = np.tile(questions, (len(COUNTERFACTUAL_VARIANTS), 1, 1))
-        interactions = Tensor(questions_stacked) \
-            + generator.embedder.response_embedding(stacked_responses)
-        stacked_mask = np.tile(mask, (len(COUNTERFACTUAL_VARIANTS), 1))
-        backward = generator.encoder.backward_stream(interactions,
-                                                     mask=stacked_mask)
+        # Eq. 12 reads: one (lane, history position) pair per term.
+        reads = [np.nonzero(index_sets[VARIANT_READS[name]])
+                 for name in COUNTERFACTUAL_VARIANTS]
+        targets = np.concatenate([t for t, _ in reads])
+        positions = np.concatenate([i for _, i in reads])
+        lanes = np.concatenate([v * count + t
+                                for v, (t, _) in enumerate(reads)])
+        future = generator.encoder.backward_at(inputs, lanes, positions + 1)
+        past = np.concatenate([
+            self.forward_streams[VARIANT_BASES[name][0]][
+                rows[t], np.maximum(i - 1, 0)]
+            for name, (t, i) in zip(COUNTERFACTUAL_VARIANTS, reads)])
+        past[positions == 0] = 0.0  # h_0 has no forward part (Eq. 25)
+        hidden = past + future
+        logits = nn.in_row_blocks(
+            lambda features: generator.head(Tensor(features)).data,
+            np.concatenate([hidden,
+                            self.question_vectors[rows[targets], positions]],
+                           axis=-1))
+        read_probabilities = sigmoid_array(logits[:, 0])
 
-        # Forward streams: gathered from the per-group cache instead of
-        # re-encoded — the target only ever reads states at columns < it.
-        forward = np.concatenate(
-            [self.forward_streams[VARIANT_BASES[name][0]][rows, :width]
-             for name in COUNTERFACTUAL_VARIANTS], axis=0)
-
-        from .encoders import shift_and_combine
-        hidden = shift_and_combine(Tensor(forward), backward)
-        logits = generator.head(
-            concat([hidden, Tensor(questions_stacked)], axis=-1)).squeeze(-1)
-        probabilities = logits.sigmoid()
-        per_variant = {
-            name: probabilities[i * count:(i + 1) * count]
-            for i, name in enumerate(COUNTERFACTUAL_VARIANTS)
-        }
-        variants = VariantSet(variant_rows, cols, history, correct, incorrect)
+        per_variant = {}
+        offset = 0
+        for name, (t, i) in zip(COUNTERFACTUAL_VARIANTS, reads):
+            grid = np.zeros((count, width))
+            grid[t, i] = read_probabilities[offset:offset + len(t)]
+            offset += len(t)
+            per_variant[name] = Tensor(grid)
+        # compute_influences reads only the index sets; no variant row
+        # is ever materialized here.
+        variants = VariantSet({}, cols, history, index_sets["correct"],
+                              index_sets["incorrect"])
         return compute_influences(per_variant, variants,
                                   normalization=self.normalization)
 
@@ -221,6 +275,26 @@ def column_banded_chunks(cols: np.ndarray, target_batch: int
             end += 1
         chunks.append(order[start:end])
         start = end
+    return chunks
+
+
+def row_tiled_chunks(indices: np.ndarray, rows: np.ndarray,
+                     target_batch: int) -> List[np.ndarray]:
+    """Split column-sorted targets of one group into row-by-column tiles.
+
+    Rows are taken in blocks of ``isqrt(target_batch)``, and each
+    block's targets are cut into ``target_batch`` pieces in column
+    order, so a chunk holds several targets of each of its rows.  The
+    attention encoders score every target of a row against one shared
+    first-block prefix (:meth:`MultiTargetContext.influences_for`), so
+    a row with many targets in a chunk pays for its prefix once.
+    """
+    blocks = rows[indices] // max(math.isqrt(target_batch), 1)
+    chunks: List[np.ndarray] = []
+    for block in np.unique(blocks):
+        members = indices[blocks == block]
+        chunks.extend(members[start:start + target_batch]
+                      for start in range(0, len(members), target_batch))
     return chunks
 
 
@@ -430,9 +504,9 @@ def predict_dataset_fast(model, dataset: KTDataset, batch_size: int = 32,
             out[indices] = sub_context.scores_for(
                 np.arange(len(indices)), sub_cols)
 
-        chunks = [part[chunk:chunk + target_batch]
-                  for part in (near, far) if len(part)
-                  for chunk in range(0, len(part), target_batch)]
+        chunks = row_tiled_chunks(near, rows, target_batch) + [
+            far[chunk:chunk + target_batch]
+            for chunk in range(0, len(far), target_batch)]
         map_chunks(score_chunk, chunks, workers, executor=executor)
         scores.append(group_scores)
     if not labels:

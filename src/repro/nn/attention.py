@@ -193,17 +193,28 @@ class MultiHeadAttention(Module):
         """Per-head decay rates ``softplus(decay)`` as ``(1, H, 1, 1)``."""
         return _softplus_array(self.decay.data).reshape(1, self.heads, 1, 1)
 
-    def forward_np(self, query: np.ndarray, key: np.ndarray,
-                   value: np.ndarray,
-                   mask: Optional[np.ndarray] = None) -> np.ndarray:
-        """No-grad, eval-mode twin of :meth:`forward` on raw arrays.
+    def scale_logits(self, logits: np.ndarray,
+                     distance) -> np.ndarray:
+        """Scale raw ``q·k`` logits ``(..., H, Lq, Lk)`` by ``1/sqrt(dh)``
+        and, for monotonic attention, subtract the decay at key distance
+        ``distance`` (broadcastable to ``logits`` without the head
+        axis), in place; returns ``logits``.  The op order of every
+        no-grad attention kernel, so they all round alike."""
+        logits *= 1.0 / np.sqrt(self.head_dim)
+        if self.monotonic:
+            logits -= self._theta() * distance
+        return logits
 
-        Same ops in the same order as the graph path, so the output is
-        bit-identical to it; scale, decay, mask fill and softmax all run
-        in place on the one ``(B, H, Lq, Lk)`` logits buffer
-        (:func:`repro.tensor.masked_softmax_array`).  Sets
-        :attr:`last_weights` and, under :attr:`capture_kv`,
-        :attr:`last_kv` exactly as :meth:`forward` does.
+    def context_np(self, query: np.ndarray, key: np.ndarray,
+                   value: np.ndarray, mask: Optional[np.ndarray] = None,
+                   query_positions: Optional[np.ndarray] = None
+                   ) -> np.ndarray:
+        """:meth:`forward_np` up to (not including) the output
+        projection: the ``(B, Lq, D)`` attention context.
+
+        ``query_positions`` (``(B, Lq)``) places the queries for the
+        monotonic decay when they are a gathered subset of positions
+        rather than ``0..Lq-1``; keys always sit at ``0..Lk-1``.
         """
         batch, q_len, _ = query.shape
         k_len = key.shape[1]
@@ -216,16 +227,32 @@ class MultiHeadAttention(Module):
         v = self._split(projected_v, batch, k_len)
 
         logits = q @ k.swapaxes(-1, -2)
-        logits *= 1.0 / np.sqrt(self.head_dim)
-        if self.monotonic:
+        if query_positions is None:
             distance = np.abs(np.arange(q_len)[:, None]
                               - np.arange(k_len)[None, :]).astype(np.float64)
-            logits -= self._theta() * distance
+        else:
+            distance = np.abs(query_positions[:, None, :, None]
+                              - np.arange(k_len)).astype(np.float64)
+        self.scale_logits(logits, distance)
         weights = masked_softmax_array(logits, mask)
         self.last_weights = weights
         context = weights @ v
-        context = context.transpose(0, 2, 1, 3).reshape(batch, q_len, self.dim)
-        return self.out_proj.forward_np(context)
+        return context.transpose(0, 2, 1, 3).reshape(batch, q_len, self.dim)
+
+    def forward_np(self, query: np.ndarray, key: np.ndarray,
+                   value: np.ndarray,
+                   mask: Optional[np.ndarray] = None) -> np.ndarray:
+        """No-grad, eval-mode twin of :meth:`forward` on raw arrays.
+
+        Same ops in the same order as the graph path, so the output is
+        bit-identical to it; scale, decay, mask fill and softmax all run
+        in place on the one ``(B, H, Lq, Lk)`` logits buffer
+        (:func:`repro.tensor.masked_softmax_array`).  Sets
+        :attr:`last_weights` and, under :attr:`capture_kv`,
+        :attr:`last_kv` exactly as :meth:`forward` does.
+        """
+        return self.out_proj.forward_np(
+            self.context_np(query, key, value, mask))
 
     # ------------------------------------------------------------------
     # No-grad incremental inference (forward-stream serving cache)
@@ -263,13 +290,67 @@ class MultiHeadAttention(Module):
         v = values.reshape(batch, n, self.heads, self.head_dim)
         v = v.transpose(0, 2, 1, 3)
         logits = q @ k.swapaxes(-1, -2)
-        logits *= 1.0 / np.sqrt(self.head_dim)
-        if self.monotonic:
-            distance = (position - np.arange(n)).astype(np.float64)
-            logits -= self._theta() * distance[None, None, None, :]
+        distance = (position - np.arange(n)).astype(np.float64)
+        self.scale_logits(logits, distance)
         weights = masked_softmax_array(logits)
         context = (weights @ v).transpose(0, 2, 1, 3).reshape(batch, dim)
         return self.out_proj.forward_np(context)
+
+
+def softmax_stats(logits: np.ndarray, allowed: np.ndarray,
+                  values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Online-softmax statistics of attention over a subset of keys.
+
+    Returns ``(top, weighted)``: ``top`` ``(..., Lq, 1)`` is each query's
+    max logit over its ``allowed`` keys (``-inf`` where it has none) and
+    ``weighted = exp(logits - top) @ values`` over those keys.  Pass
+    ``values`` as ``[V | 1]`` and the last column of ``weighted`` is the
+    softmax denominator.  ``logits`` is overwritten.  Statistics over
+    disjoint key sets combine exactly with :func:`merge_softmax_stats`
+    (Milakov & Gimelshein, *Online normalizer calculation for softmax*).
+    """
+    np.copyto(logits, -np.inf, where=~allowed)
+    top = logits.max(axis=-1, keepdims=True)
+    np.subtract(logits, np.where(np.isneginf(top), 0.0, top), out=logits)
+    np.exp(logits, out=logits)
+    return top, logits @ values
+
+
+def extend_softmax_stats(top: np.ndarray, weighted: np.ndarray,
+                         logits: np.ndarray, values: np.ndarray
+                         ) -> Tuple[np.ndarray, np.ndarray]:
+    """Fold one more key into :func:`softmax_stats` statistics.
+
+    ``logits`` ``(..., Lq, 1)`` is the key's logit for each query
+    (``-inf`` where the key is not allowed) and ``values`` its
+    ``[v | 1]`` row, broadcastable to ``weighted``.  Returns the new
+    ``(top, weighted)``, rescaled to the new max: one step of the online
+    softmax.
+    """
+    new_top = np.maximum(top, logits)
+    safe = np.where(np.isneginf(new_top), 0.0, new_top)
+    return new_top, (weighted * np.exp(top - safe)
+                     + np.exp(logits - safe) * values)
+
+
+def merge_softmax_stats(parts) -> np.ndarray:
+    """Normalized attention context from :func:`softmax_stats` parts over
+    disjoint key sets, each ``(top, weighted)`` with ``[V | 1]`` values.
+
+    Every part is rescaled to the max over all of them, so the result is
+    the softmax over the union with each query's own max as stabilizer,
+    as :func:`repro.tensor.masked_softmax_array` takes it; at least one
+    part must have a finite ``top`` for every query.
+    """
+    top = parts[0][0]
+    for part_top, _ in parts[1:]:
+        top = np.maximum(top, part_top)
+    total = None
+    for part_top, weighted in parts:
+        scaled = weighted * np.exp(part_top - top)
+        total = scaled if total is None else np.add(total, scaled,
+                                                    out=total)
+    return total[..., :-1] / total[..., -1:]
 
 
 def causal_mask(length: int, strict: bool = True) -> np.ndarray:
